@@ -13,21 +13,30 @@
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
 //!   using only deterministic coordinator state (cursors, expected
 //!   work), never node progress;
-//! - the **workload** is a seeded [`TraceGen`] stream shared by
-//!   construction: every node re-runs the generator + placer locally
-//!   and keeps the arrivals placed on it, so no materialized trace or
-//!   cross-node channel exists and trace memory is O(1) even at 10⁷
-//!   requests.
+//! - the **workload** is a seeded [`TraceGen`] stream folded **once**
+//!   by the coordinator before any node starts: every event goes
+//!   through the gateway front (if any), the placer, the autoscaler (if
+//!   armed) and the node-loss failover scan, and each backend-bound
+//!   arrival is appended to its node's stream as a 24-byte record
+//!   (arrival time, sequence number, function, principal).
+//!
+//! The trade: trace memory is O(backend-bound arrivals) — 24 B each,
+//! ~2.3 MiB per 10⁵ — rather than the O(1) of letting every node
+//! re-run the generator and placer and keep its own arrivals, which
+//! cost one full trace pass per node. Each node owns its stream, pulls
+//! arrivals from it one at a time, and frees it when the node
+//! finishes, so the buffers shrink as nodes complete.
 //!
 //! # Host-parallel execution
 //!
-//! Because placement never reads node state, a node's entire timeline
-//! is a pure function of `(trace config, catalog, cluster config, node
-//! index)`. Node timelines are therefore *embarrassingly* parallel —
-//! the PR 6 plan/shard/merge discipline with the sharding moved up one
-//! level: workers on [`std::thread::scope`] claim node indices from an
-//! atomic cursor (same work-stealing as `gh_bench::harness::run_cells`)
-//! and the coordinator merges per-node results **in node-index order**.
+//! Because no fold decision reads node state, a node's entire timeline
+//! is a pure function of its arrival stream and `(catalog, cluster
+//! config, node index)`. Node timelines are therefore *embarrassingly*
+//! parallel — the fleet's plan/shard/merge discipline with the sharding
+//! moved up one level: workers on [`std::thread::scope`] claim the next
+//! node index together with its stream (same work-stealing as
+//! `gh_bench::harness::run_cells`) and the coordinator merges per-node
+//! results **in node-index order**.
 //! Per-node stats live in exact-merge [`QuantileSketch`]es, so the
 //! merged result is independent of completion order and bit-identical
 //! to the serial reference — enforced by `tests/cluster_oracle.rs`
@@ -40,9 +49,9 @@
 //! # Failure-aware autoscaling
 //!
 //! [`scale`] adds a pure virtual-time controller over the node count:
-//! armed via [`ClusterConfig::with_autoscale`], every node folds the
-//! same [`NodeScaler`] over the full backend-bound arrival stream
-//! (exactly like the placer), growing the active set under queue
+//! armed via [`ClusterConfig::with_autoscale`], the coordinator fold
+//! steps a [`NodeScaler`] over the full backend-bound arrival stream
+//! (right after the placer), growing the active set under queue
 //! pressure or observed loss and cordoning + draining the top node in
 //! quiet windows. Because the fold reads only the trace prefix and the
 //! deterministic fault schedule, autoscaled placement remains
@@ -67,8 +76,7 @@ use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::fleet::{par, DepthTracker, ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceGen};
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::Mutex;
 
 pub use front::{FrontDecision, GatewayFront};
 pub use place::{PlacePolicy, Placer};
@@ -93,10 +101,11 @@ pub struct ClusterConfig {
     /// Fault injection, if armed (see [`ClusterConfig::with_faults`]).
     /// `None` keeps the run byte-identical to the fault-free reference.
     pub faults: Option<FaultConfig>,
-    /// Failure-aware node autoscaling, if armed. Each node folds the
-    /// same [`NodeScaler`] over the full backend-bound arrival stream
-    /// (like the placer), so the active set is coordinator-pure; `None`
-    /// keeps placement byte-identical to the unscaled reference.
+    /// Failure-aware node autoscaling, if armed. The coordinator's
+    /// trace fold steps a [`NodeScaler`] over the full backend-bound
+    /// arrival stream right after the placer, before any node runs, so
+    /// the active set never depends on node progress; `None` keeps
+    /// placement byte-identical to the unscaled reference.
     pub autoscale: Option<NodeScaleConfig>,
     /// Time-ordered `(instant, fn)` redeploy schedule folded into the
     /// gateway front's result cache (generation bumps drop cached
@@ -198,9 +207,9 @@ pub struct ClusterResult {
     /// another replica because their placed node was down; `abandoned`
     /// includes requests dropped because every replica was down.
     pub faults: FaultStats,
-    /// Autoscaler counters, when [`ClusterConfig::autoscale`] is armed.
-    /// Every node computes the identical fold, so this is node 0's copy
-    /// (not a sum).
+    /// Autoscaler counters, when [`ClusterConfig::autoscale`] is armed
+    /// and at least one arrival reached placement: the final state of
+    /// the coordinator fold's scaler.
     pub scale: Option<ScaleStats>,
     /// Per-node breakdown, node-index order.
     pub per_node: Vec<NodeLoad>,
@@ -221,30 +230,57 @@ struct NodeResult {
     containers: u32,
     span_end: Nanos,
     faults: FaultStats,
+}
+
+/// One backend-bound arrival as the coordinator fold hands it to its
+/// node: 24 bytes. The payload identity stays behind at the front —
+/// nodes never read it, so their [`Pending`]s carry `0`/`false` like
+/// the fleet paths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Arrival {
+    at: Nanos,
+    seq: u64,
+    fn_id: u32,
+    principal: u32,
+}
+
+/// The gateway front's share of the fold, kept after the front itself
+/// (and its cache) is dropped: the hits it served, their latencies to
+/// merge into the sojourn sketch, and its counters (`served` is filled
+/// in after the merge).
+struct FrontOutcome {
+    hits: u64,
+    hit_sojourns: QuantileSketch,
+    gateway: GatewayStats,
+}
+
+/// Everything the coordinator fold decides besides the per-node
+/// arrival streams.
+struct FoldTally {
+    /// The placer after the fold (its static deployment tells each node
+    /// which pools to build).
+    placer: Placer,
+    /// Arrivals each node received by failover from a down replica.
+    failovers: Vec<u64>,
+    /// Arrivals dropped because every replica was down.
+    all_down: u64,
+    /// The gateway front's outcome, when one ran.
+    front: Option<FrontOutcome>,
+    /// Final autoscaler counters, once the scaler has seen an arrival.
     scale: Option<ScaleStats>,
 }
 
-/// Node-local events: a trace arrival reaching the node, a container
-/// (pool, slot) finishing its restore, or a parked retry (token into
-/// the node's park table) coming due after its backoff.
-enum NodeEv {
-    Arrival,
-    Ready(u32, u32),
-    Retry(u32),
-}
-
-/// Runs node `node`'s entire timeline: re-generates the trace, filters
-/// it through the placer, and drives the node's pools through one local
-/// event queue. Pure: no shared state, so serial and parallel callers
-/// get identical results.
-fn run_node(
-    node: usize,
+/// The coordinator fold: runs the trace once through the gateway front
+/// (if any), the placer, the autoscaler (if armed) and the node-loss
+/// failover scan, and splits the backend-bound arrivals into per-node
+/// streams in trace order. Every decision reads only the trace prefix
+/// and the pure fault schedule, never node progress.
+fn fold_trace(
     trace_cfg: &TraceConfig,
     catalog: &[FunctionSpec],
     ccfg: &ClusterConfig,
-    gh: &GroundhogConfig,
     gcfg: Option<&GatewayConfig>,
-) -> Result<NodeResult, StrategyError> {
+) -> (Vec<Vec<Arrival>>, FoldTally) {
     let nf = trace_cfg.functions as usize;
     assert!(
         catalog.len() >= nf,
@@ -257,6 +293,181 @@ fn run_node(
         &catalog[..nf],
         ccfg.seed,
     );
+    let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
+    let mut scaler = ccfg
+        .autoscale
+        .map(|sc| NodeScaler::new(sc, ccfg.nodes, trace_cfg.origin));
+    let mut front = gcfg.map(|g| GatewayFront::with_redeploys(g, &ccfg.redeploys));
+    let hit_cost = front.as_ref().map_or(Nanos::ZERO, GatewayFront::hit_cost);
+    let mut hit_sojourns = QuantileSketch::new();
+    let mut streams: Vec<Vec<Arrival>> = vec![Vec::new(); ccfg.nodes];
+    let mut failovers = vec![0u64; ccfg.nodes];
+    let mut all_down = 0u64;
+    let mut scaled = false;
+    for ev in TraceGen::new(trace_cfg) {
+        let f = ev.fn_id as usize;
+        if let Some(fr) = &mut front {
+            match fr.decide(&ev, catalog[f].output_kb) {
+                FrontDecision::Backend => {}
+                FrontDecision::Hit => {
+                    hit_sojourns.record_nanos(hit_cost);
+                    continue;
+                }
+                FrontDecision::Reject => continue,
+            }
+        }
+        let base = placer.place(f);
+        // The scaler observes the placed node's load (and whether it
+        // was lost) and may redirect away from a cordoned node.
+        let target = match &mut scaler {
+            None => base,
+            Some(s) => {
+                scaled = true;
+                let lost = plan.as_ref().is_some_and(|pl| pl.node_down(base, ev.at));
+                s.observe(
+                    ev.at,
+                    base,
+                    Nanos::from_millis_f64(catalog[f].base_e2e_ms),
+                    lost,
+                );
+                if s.placeable(base) {
+                    base
+                } else {
+                    match placer.candidates(f).find(|&n| s.placeable(n)) {
+                        Some(c) => {
+                            s.note_redirect();
+                            c
+                        }
+                        None => base,
+                    }
+                }
+            }
+        };
+        let node = match &plan {
+            Some(pl) if pl.node_down(target, ev.at) => {
+                // Failover scan: first up replica in candidate order,
+                // preferring nodes the scaler still places on (a cordoned
+                // node is a last resort, not a dead one).
+                let up = |n: &usize| !pl.node_down(*n, ev.at);
+                let pick = scaler
+                    .as_ref()
+                    .and_then(|s| placer.candidates(f).filter(up).find(|&n| s.placeable(n)))
+                    .or_else(|| placer.candidates(f).find(up));
+                let Some(n) = pick else {
+                    all_down += 1;
+                    continue;
+                };
+                failovers[n] += 1;
+                n
+            }
+            _ => target,
+        };
+        streams[node].push(Arrival {
+            at: ev.at,
+            seq: ev.seq,
+            fn_id: ev.fn_id,
+            principal: ev.principal,
+        });
+    }
+    // Nodes hold their streams until they finish; returning the growth
+    // slack measurably lowers peak RSS on the 100k-request workloads.
+    for stream in &mut streams {
+        stream.shrink_to_fit();
+    }
+    let front = front.map(|fr| {
+        let mut gateway = GatewayStats {
+            rejected: fr.rejected,
+            cache_peak_bytes: fr.cache_peak_bytes,
+            ..GatewayStats::default()
+        };
+        gateway.absorb_cache(&fr.cache_stats());
+        FrontOutcome {
+            hits: fr.hits,
+            hit_sojourns,
+            gateway,
+        }
+    });
+    let tally = FoldTally {
+        placer,
+        failovers,
+        all_down,
+        front,
+        scale: scaler.filter(|_| scaled).map(|s| s.stats()),
+    };
+    (streams, tally)
+}
+
+/// Park table for killed requests awaiting their backoff. Freed tokens
+/// are reused, so its size is bounded by the retries parked at once,
+/// not by the run's total.
+struct ParkSlab<T> {
+    entries: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> ParkSlab<T> {
+    fn new() -> ParkSlab<T> {
+        ParkSlab {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Parks `v`, returning its token.
+    fn park(&mut self, v: T) -> u32 {
+        match self.free.pop() {
+            Some(token) => {
+                self.entries[token as usize] = Some(v);
+                token
+            }
+            None => {
+                let token =
+                    u32::try_from(self.entries.len()).expect("park table exceeds u32 tokens");
+                self.entries.push(Some(v));
+                token
+            }
+        }
+    }
+
+    /// Unparks the entry behind `token`, freeing the token.
+    fn take(&mut self, token: u32) -> T {
+        let v = self.entries[token as usize]
+            .take()
+            .expect("retry token fired twice");
+        self.free.push(token);
+        v
+    }
+
+    /// Entries currently parked.
+    fn live(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+}
+
+/// Node-local events: a trace arrival reaching the node, a container
+/// (pool, slot) finishing its restore, or a parked retry (token into
+/// the node's park table) coming due after its backoff.
+enum NodeEv {
+    Arrival,
+    Ready(u32, u32),
+    Retry(u32),
+}
+
+/// Runs node `node`'s entire timeline over its arrival stream from the
+/// coordinator fold, driving the node's pools through one local event
+/// queue. Pure: no shared state, so serial and parallel callers get
+/// identical results. The stream is consumed as the node runs and freed
+/// when it finishes.
+fn run_node(
+    node: usize,
+    arrivals: Vec<Arrival>,
+    trace_cfg: &TraceConfig,
+    catalog: &[FunctionSpec],
+    ccfg: &ClusterConfig,
+    gh: &GroundhogConfig,
+    placer: &Placer,
+) -> Result<NodeResult, StrategyError> {
+    let nf = trace_cfg.functions as usize;
 
     // Pools for the functions deployed here, ascending fn id. Each pool
     // seeds its containers from the (cluster seed, node, fn) hash so
@@ -287,127 +498,26 @@ fn run_node(
         .collect();
 
     // Fault plan, if armed. Draws are pure hashes of (seed, request,
-    // attempt) / (seed, node, window), so every node computes identical
-    // failover decisions and a node's own faults stay node-pure.
+    // attempt), so a node's own faults stay node-pure.
     let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
     let reroute = plan.map(|p| p.config().retry.reroute).unwrap_or(false);
 
-    // The node's trace slice: fold *every* global event through the
-    // gateway front (if any), step the placer over every backend-bound
-    // event (its cursors/loads depend on the full prefix), keep ours.
-    // Front and placer are both pure folds over the trace, so every
-    // node replays identical decision sequences. Under node loss the
-    // fold also replays the failover scan: an arrival placed on a down
-    // node moves to the first up candidate in replica order (counted by
-    // the receiving node), or is dropped at the front when every
-    // replica is down (counted once, by node 0's replay).
-    let mut front = gcfg.map(|g| GatewayFront::with_redeploys(g, &ccfg.redeploys));
-    let mut gen = TraceGen::new(trace_cfg);
-    let feed_plan = plan;
-    let failovers = Rc::new(Cell::new(0u64));
-    let all_down = Rc::new(Cell::new(0u64));
-    let (nl, ad) = (failovers.clone(), all_down.clone());
-    // Autoscaler, if armed: folded over every backend-bound arrival
-    // (like the placer), so each node replays the identical active-set
-    // history. Stats are exported through a cell because the fold lives
-    // inside the closure; every node's copy is identical, merge keeps
-    // node 0's.
-    let mut scaler = ccfg
-        .autoscale
-        .map(|sc| NodeScaler::new(sc, ccfg.nodes, trace_cfg.origin));
-    let scale_out = Rc::new(Cell::new(None::<ScaleStats>));
-    let scale_cell = scale_out.clone();
-    let mut next_local = move || {
-        gen.by_ref().find(|ev| {
-            let backend = match &mut front {
-                None => true,
-                Some(f) => {
-                    f.decide(ev, catalog[ev.fn_id as usize].output_kb) == FrontDecision::Backend
-                }
-            };
-            if !backend {
-                return false;
-            }
-            let f = ev.fn_id as usize;
-            let base = placer.place(f);
-            // The scaler observes the placed node's load (and whether it
-            // was lost) and may redirect away from a cordoned node.
-            let target = match &mut scaler {
-                None => base,
-                Some(s) => {
-                    let lost = feed_plan
-                        .as_ref()
-                        .map(|pl| pl.node_down(base, ev.at))
-                        .unwrap_or(false);
-                    let cost = Nanos::from_millis_f64(catalog[f].base_e2e_ms);
-                    s.observe(ev.at, base, cost, lost);
-                    let t = if s.placeable(base) {
-                        base
-                    } else {
-                        match placer.candidates(f).find(|&n| s.placeable(n)) {
-                            Some(c) => {
-                                s.note_redirect();
-                                c
-                            }
-                            None => base,
-                        }
-                    };
-                    scale_cell.set(Some(s.stats()));
-                    t
-                }
-            };
-            let Some(pl) = &feed_plan else {
-                return target == node;
-            };
-            if !pl.node_down(target, ev.at) {
-                return target == node;
-            }
-            // Failover scan: first up replica, preferring nodes the
-            // scaler still places on (a cordoned node is a last resort,
-            // not a dead one).
-            let up: Vec<usize> = placer
-                .candidates(f)
-                .filter(|&n| !pl.node_down(n, ev.at))
-                .collect();
-            let pick = match &scaler {
-                Some(s) => up
-                    .iter()
-                    .copied()
-                    .find(|&n| s.placeable(n))
-                    .or_else(|| up.first().copied()),
-                None => up.first().copied(),
-            };
-            match pick {
-                Some(n) if n == node => {
-                    nl.set(nl.get() + 1);
-                    true
-                }
-                Some(_) => false,
-                None => {
-                    if node == 0 {
-                        ad.set(ad.get() + 1);
-                    }
-                    false
-                }
-            }
-        })
-    };
-
+    let delivered = arrivals.len() as u64;
+    let mut arrivals = arrivals.into_iter();
     let mut events: EventQueue<NodeEv> = EventQueue::new();
-    let mut upcoming = next_local();
-    if let Some(ev) = &upcoming {
-        events.schedule(ev.at, NodeEv::Arrival);
+    let mut upcoming = arrivals.next();
+    if let Some(a) = &upcoming {
+        events.schedule(a.at, NodeEv::Arrival);
     }
     let mut sojourns = QuantileSketch::new();
     let mut depth = DepthTracker::new();
     let mut completed = 0u64;
     let mut queued = 0usize;
-    // Park table for killed requests awaiting their backoff: token →
-    // (pending, pool, slot it died on). Retries stay on this node —
-    // rerouting moves them to another container in the same pool, never
-    // across nodes, so node timelines remain pure.
-    let mut parked: Vec<Option<(Pending, usize, usize)>> = Vec::new();
-    let mut parked_live = 0usize;
+    // Killed requests awaiting their backoff: token → (pending, pool,
+    // slot it died on). Retries stay on this node — rerouting moves
+    // them to another container in the same pool, never across nodes,
+    // so node timelines remain pure.
+    let mut parked: ParkSlab<(Pending, usize, usize)> = ParkSlab::new();
     let mut fstats = FaultStats::default();
 
     while let Some((now, ev)) = events.pop() {
@@ -427,13 +537,13 @@ fn run_node(
                     principal: principals[a.principal as usize].clone(),
                     input_kb: pool.spec.input_kb,
                     arrival: a.at,
-                    payload_hash: a.payload_hash,
-                    idempotent: a.idempotent,
+                    payload_hash: 0,
+                    idempotent: false,
                     attempt: 1,
                 });
                 queued += 1;
                 depth.record(queued);
-                upcoming = next_local();
+                upcoming = arrivals.next();
                 if let Some(next) = &upcoming {
                     events.schedule(next.at, NodeEv::Arrival);
                 }
@@ -441,10 +551,7 @@ fn run_node(
             }
             NodeEv::Ready(pi, si) => (pi as usize, si as usize),
             NodeEv::Retry(token) => {
-                let (p, pi, died_si) = parked[token as usize]
-                    .take()
-                    .expect("retry token fired twice");
-                parked_live -= 1;
+                let (p, pi, died_si) = parked.take(token);
                 let si = if reroute {
                     routers[pi].route_avoiding(
                         now,
@@ -496,9 +603,7 @@ fn run_node(
                             } else {
                                 backoff_at.max(ready)
                             };
-                            let token = parked.len() as u32;
-                            parked.push(Some((pending, pi, si)));
-                            parked_live += 1;
+                            let token = parked.park((pending, pi, si));
                             events.schedule(retry_at, NodeEv::Retry(token));
                         } else {
                             fstats.abandoned += 1;
@@ -523,10 +628,17 @@ fn run_node(
             depth.record(queued);
         }
     }
-    debug_assert_eq!(queued, 0, "queues must drain");
-    debug_assert_eq!(parked_live, 0, "every parked retry must fire");
-    fstats.node_losses = failovers.get();
-    fstats.abandoned += all_down.get();
+    assert_eq!(queued, 0, "node {node}: queues must drain");
+    assert_eq!(
+        parked.live(),
+        0,
+        "node {node}: every parked retry must fire"
+    );
+    assert_eq!(
+        delivered,
+        completed + fstats.abandoned,
+        "node {node}: every delivered arrival completes or is abandoned"
+    );
 
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
@@ -556,27 +668,19 @@ fn run_node(
         containers,
         span_end,
         faults: fstats,
-        scale: scale_out.get(),
     })
 }
 
-/// Front-side outcome of a gateway-wrapped run: requests that never
-/// reached a node, plus the hit latencies to fold into the sojourn
-/// sketch.
-struct FrontOutcome {
-    hits: u64,
-    hit_sojourns: QuantileSketch,
-}
-
 /// Merges per-node outcomes (already in node-index order) into the
-/// cluster result, folding in the gateway front's outcome when one ran.
-/// Sketch merges are exact, so this is independent of how the nodes
-/// were executed.
+/// cluster result, folding in the coordinator's decisions: failovers,
+/// all-replicas-down drops, the gateway front's hits and the autoscaler
+/// counters. Sketch merges are exact, so this is independent of how the
+/// nodes were executed.
 fn merge(
     nodes: Vec<NodeResult>,
     trace_cfg: &TraceConfig,
     ccfg: &ClusterConfig,
-    front: Option<&FrontOutcome>,
+    tally: &FoldTally,
 ) -> ClusterResult {
     let mut sojourns = QuantileSketch::new();
     let mut depth = DepthTracker::new();
@@ -606,7 +710,9 @@ fn merge(
             busy_ms: n.busy.as_millis_f64(),
         });
     }
-    if let Some(f) = front {
+    faults.node_losses += tally.failovers.iter().sum::<u64>();
+    faults.abandoned += tally.all_down;
+    if let Some(f) = &tally.front {
         // Cache hits are served requests with front-side sojourns; the
         // span is untouched (hits never run on a node). With a disabled
         // gateway both counts are zero and the merge is the identity.
@@ -648,7 +754,7 @@ fn merge(
         imbalance,
         containers,
         faults,
-        scale: nodes.first().and_then(|n| n.scale),
+        scale: tally.scale,
         per_node,
         stats_bytes: nodes.len() * 2 * QuantileSketch::memory_bytes(),
     }
@@ -695,13 +801,15 @@ pub fn run_cluster_with(
     gh: GroundhogConfig,
     mode: ExecMode,
 ) -> Result<ClusterResult, StrategyError> {
-    let nodes = run_nodes(trace_cfg, catalog, ccfg, &gh, mode, None)?;
-    Ok(merge(nodes, trace_cfg, ccfg, None))
+    let (nodes, tally) = run_nodes(trace_cfg, catalog, ccfg, &gh, mode, None)?;
+    Ok(merge(nodes, trace_cfg, ccfg, &tally))
 }
 
-/// Runs every node timeline, serial or work-stealing parallel, and
-/// returns the results in node-index order. With `gcfg` set, each node
-/// replays the deterministic [`GatewayFront`] in front of placement.
+/// Folds the trace once on the calling thread (see [`fold_trace`];
+/// with `gcfg` set, through the deterministic [`GatewayFront`] first),
+/// then runs every node timeline over its stream, serial or
+/// work-stealing parallel, and returns the results in node-index order
+/// with the fold's tally.
 fn run_nodes(
     trace_cfg: &TraceConfig,
     catalog: &[FunctionSpec],
@@ -709,7 +817,7 @@ fn run_nodes(
     gh: &GroundhogConfig,
     mode: ExecMode,
     gcfg: Option<&GatewayConfig>,
-) -> Result<Vec<NodeResult>, StrategyError> {
+) -> Result<(Vec<NodeResult>, FoldTally), StrategyError> {
     let threads = match mode {
         ExecMode::Serial => 1,
         ExecMode::Parallel { threads } => threads,
@@ -721,25 +829,27 @@ fn run_nodes(
             }
         }
     };
+    let (streams, tally) = fold_trace(trace_cfg, catalog, ccfg, gcfg);
+    let node = |i, arrivals| run_node(i, arrivals, trace_cfg, catalog, ccfg, gh, &tally.placer);
     let n = ccfg.nodes;
     let results: Vec<NodeResult> = if threads >= 2 && n >= 2 {
-        // Work-stealing over node indices; merge order is fixed by
-        // index, so completion order is irrelevant.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = threads.min(n);
+        // Work-stealing: each worker claims the next node together with
+        // its stream. Merge order is fixed by index, so completion order
+        // is irrelevant.
+        let feeds = Mutex::new(streams.into_iter().enumerate());
         let mut collected: Vec<Vec<(usize, Result<NodeResult, StrategyError>)>> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
+                let handles: Vec<_> = (0..threads.min(n))
                     .map(|_| {
-                        let next = &next;
+                        let (feeds, node) = (&feeds, &node);
                         scope.spawn(move || {
                             let mut local = Vec::new();
                             loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if i >= n {
+                                let claim = feeds.lock().expect("feed lock poisoned").next();
+                                let Some((i, arrivals)) = claim else {
                                     break local;
-                                }
-                                local.push((i, run_node(i, trace_cfg, catalog, ccfg, gh, gcfg)));
+                                };
+                                local.push((i, node(i, arrivals)));
                             }
                         })
                     })
@@ -759,11 +869,13 @@ fn run_nodes(
             .map(|s| s.expect("every node index claimed"))
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        (0..n)
-            .map(|i| run_node(i, trace_cfg, catalog, ccfg, gh, gcfg))
+        streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, arrivals)| node(i, arrivals))
             .collect::<Result<Vec<_>, _>>()?
     };
-    Ok(results)
+    Ok((results, tally))
 }
 
 /// Outcome of a gateway-wrapped cluster run.
@@ -794,33 +906,13 @@ pub fn run_cluster_gateway(
     gh: GroundhogConfig,
     mode: ExecMode,
 ) -> Result<ClusterGatewayResult, StrategyError> {
-    // Coordinator stats pass: one pure fold over the trace, no pools.
-    let nf = trace_cfg.functions as usize;
-    assert!(
-        catalog.len() >= nf,
-        "catalog must cover every trace function"
-    );
-    let mut front = GatewayFront::with_redeploys(gcfg, &ccfg.redeploys);
-    let hit_cost = front.hit_cost();
-    let mut hit_sojourns = QuantileSketch::new();
-    for ev in TraceGen::new(trace_cfg) {
-        if front.decide(&ev, catalog[ev.fn_id as usize].output_kb) == FrontDecision::Hit {
-            hit_sojourns.record_nanos(hit_cost);
-        }
-    }
-    let outcome = FrontOutcome {
-        hits: front.hits,
-        hit_sojourns,
-    };
-    let nodes = run_nodes(trace_cfg, catalog, ccfg, &gh, mode, Some(gcfg))?;
-    let cluster = merge(nodes, trace_cfg, ccfg, Some(&outcome));
-    let mut gateway = GatewayStats {
+    let (nodes, tally) = run_nodes(trace_cfg, catalog, ccfg, &gh, mode, Some(gcfg))?;
+    let cluster = merge(nodes, trace_cfg, ccfg, &tally);
+    let front = tally.front.expect("gateway front folded");
+    let gateway = GatewayStats {
         served: cluster.completed,
-        rejected: front.rejected,
-        cache_peak_bytes: front.cache_peak_bytes,
-        ..GatewayStats::default()
+        ..front.gateway
     };
-    gateway.absorb_cache(&front.cache_stats());
     Ok(ClusterGatewayResult { cluster, gateway })
 }
 
@@ -1053,5 +1145,250 @@ mod tests {
         let large = run(PlacePolicy::RoundRobin, 2, 2_000, 13, ExecMode::Serial);
         assert_eq!(small.stats_bytes, large.stats_bytes);
         assert!(large.stats_bytes < 2 * 2 * 64 * 1024, "sketch-bounded");
+    }
+
+    #[test]
+    fn park_slab_reuses_freed_tokens() {
+        let mut slab = ParkSlab::new();
+        let a = slab.park('a');
+        let b = slab.park('b');
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(slab.take(a), 'a');
+        assert_eq!(slab.park('c'), a, "a freed token is reused");
+        assert_eq!(slab.live(), 2);
+        assert_eq!(slab.take(b), 'b');
+        assert_eq!(slab.take(a), 'c');
+        assert_eq!(slab.live(), 0);
+        assert_eq!(slab.entries.len(), 2, "bounded by the peak parked at once");
+    }
+
+    /// One node's view of the trace under the per-node replay the
+    /// coordinator fold replaced: every node re-ran generator, front,
+    /// placer, scaler and failover scan over the whole trace and kept
+    /// the arrivals that landed on it.
+    struct NodeReplay {
+        arrivals: Vec<Arrival>,
+        failovers: u64,
+        /// All-replicas-down drops, counted by node 0's replay only.
+        all_down: u64,
+        scale: Option<ScaleStats>,
+    }
+
+    /// Reference for the fold oracle: node `node`'s replay, kept here
+    /// verbatim in logic (failover scan through a collected `up` list).
+    fn replay_node(
+        node: usize,
+        trace_cfg: &TraceConfig,
+        catalog: &[FunctionSpec],
+        ccfg: &ClusterConfig,
+        gcfg: Option<&GatewayConfig>,
+    ) -> NodeReplay {
+        let nf = trace_cfg.functions as usize;
+        let mut placer = Placer::new(
+            ccfg.policy,
+            ccfg.nodes,
+            ccfg.replicas,
+            &catalog[..nf],
+            ccfg.seed,
+        );
+        let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
+        let mut front = gcfg.map(|g| GatewayFront::with_redeploys(g, &ccfg.redeploys));
+        let mut scaler = ccfg
+            .autoscale
+            .map(|sc| NodeScaler::new(sc, ccfg.nodes, trace_cfg.origin));
+        let mut out = NodeReplay {
+            arrivals: Vec::new(),
+            failovers: 0,
+            all_down: 0,
+            scale: None,
+        };
+        for ev in TraceGen::new(trace_cfg) {
+            let backend = match &mut front {
+                None => true,
+                Some(f) => {
+                    f.decide(&ev, catalog[ev.fn_id as usize].output_kb) == FrontDecision::Backend
+                }
+            };
+            if !backend {
+                continue;
+            }
+            let f = ev.fn_id as usize;
+            let base = placer.place(f);
+            let target = match &mut scaler {
+                None => base,
+                Some(s) => {
+                    let lost = plan
+                        .as_ref()
+                        .map(|pl| pl.node_down(base, ev.at))
+                        .unwrap_or(false);
+                    let cost = Nanos::from_millis_f64(catalog[f].base_e2e_ms);
+                    s.observe(ev.at, base, cost, lost);
+                    let t = if s.placeable(base) {
+                        base
+                    } else {
+                        match placer.candidates(f).find(|&n| s.placeable(n)) {
+                            Some(c) => {
+                                s.note_redirect();
+                                c
+                            }
+                            None => base,
+                        }
+                    };
+                    out.scale = Some(s.stats());
+                    t
+                }
+            };
+            let keep = match &plan {
+                Some(pl) if pl.node_down(target, ev.at) => {
+                    let up: Vec<usize> = placer
+                        .candidates(f)
+                        .filter(|&n| !pl.node_down(n, ev.at))
+                        .collect();
+                    let pick = match &scaler {
+                        Some(s) => up
+                            .iter()
+                            .copied()
+                            .find(|&n| s.placeable(n))
+                            .or_else(|| up.first().copied()),
+                        None => up.first().copied(),
+                    };
+                    match pick {
+                        Some(n) if n == node => {
+                            out.failovers += 1;
+                            true
+                        }
+                        Some(_) => false,
+                        None => {
+                            if node == 0 {
+                                out.all_down += 1;
+                            }
+                            false
+                        }
+                    }
+                }
+                _ => target == node,
+            };
+            if keep {
+                out.arrivals.push(Arrival {
+                    at: ev.at,
+                    seq: ev.seq,
+                    fn_id: ev.fn_id,
+                    principal: ev.principal,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn coordinator_fold_matches_per_node_replay() {
+        assert_eq!(std::mem::size_of::<Arrival>(), 24);
+        let gateway = GatewayConfig::builder()
+            .cache(gh_gateway::cache::CacheConfig::default_for_ttl(
+                Nanos::from_secs(20),
+            ))
+            .admission(gh_gateway::admission::AdmissionConfig {
+                rate_per_sec: 60.0,
+                burst: 30,
+                max_in_flight: None,
+            })
+            .build();
+        // Rare fold branches the sweep must reach at least once.
+        let (mut all_down, mut redirects) = (0u64, 0u64);
+        for seed in [3u64, 29] {
+            let catalog = synthetic_catalog(24, seed);
+            let trace = TraceConfig {
+                idempotent_frac: 0.5,
+                payload_universe: 24,
+                ..small_trace(600, seed)
+            };
+            let mut fc = FaultConfig::deaths(seed, 0.05);
+            fc.node_loss_rate = 0.3;
+            fc.node_loss_window = Nanos::from_millis(20);
+            fc.retry = crate::fault::RetryPolicy::rerouting();
+            let redeploys = crate::trace::cluster_redeploy_schedule(&trace, 6);
+            for policy in PlacePolicy::ALL {
+                // Three replicas, so the failover scan has a real choice.
+                let plain = ClusterConfig {
+                    replicas: 3,
+                    ..ClusterConfig::new(4, policy, StrategyKind::Gh, seed)
+                };
+                let variants = [
+                    ("plain", plain.clone(), None),
+                    ("faulty", plain.clone().with_faults(fc), None),
+                    (
+                        "autoscaled",
+                        plain
+                            .clone()
+                            .with_faults(fc)
+                            .with_autoscale(NodeScaleConfig::balanced(2)),
+                        None,
+                    ),
+                    (
+                        "gateway",
+                        plain.clone().with_redeploys(redeploys.clone()),
+                        Some(&gateway),
+                    ),
+                ];
+                for (name, ccfg, gcfg) in variants {
+                    let label = format!("seed={seed} policy={} {name}", policy.label());
+                    let (streams, tally) = fold_trace(&trace, &catalog, &ccfg, gcfg);
+                    for (node, stream) in streams.iter().enumerate() {
+                        let r = replay_node(node, &trace, &catalog, &ccfg, gcfg);
+                        assert_eq!(stream, &r.arrivals, "{label} node={node}: stream");
+                        assert_eq!(tally.failovers[node], r.failovers, "{label} node={node}");
+                        assert_eq!(tally.scale, r.scale, "{label} node={node}: scaler");
+                        if node == 0 {
+                            assert_eq!(tally.all_down, r.all_down, "{label}: all-down");
+                        }
+                    }
+                    // The old separate gateway stats pass.
+                    let (hits, rejected) = match gcfg {
+                        Some(g) => {
+                            let mut front = GatewayFront::with_redeploys(g, &ccfg.redeploys);
+                            let mut hit_sojourns = QuantileSketch::new();
+                            for ev in TraceGen::new(&trace) {
+                                let out = catalog[ev.fn_id as usize].output_kb;
+                                if front.decide(&ev, out) == FrontDecision::Hit {
+                                    hit_sojourns.record_nanos(front.hit_cost());
+                                }
+                            }
+                            let f = tally.front.as_ref().expect("front folded");
+                            assert_eq!(f.hit_sojourns, hit_sojourns, "{label}: hit sketch");
+                            assert_eq!(f.hits, front.hits, "{label}: hits");
+                            let mut gateway = GatewayStats {
+                                rejected: front.rejected,
+                                cache_peak_bytes: front.cache_peak_bytes,
+                                ..GatewayStats::default()
+                            };
+                            gateway.absorb_cache(&front.cache_stats());
+                            assert_eq!(f.gateway, gateway, "{label}: gateway counters");
+                            assert!(front.hits > 0 && front.cache_stats().invalidated > 0);
+                            (front.hits, front.rejected)
+                        }
+                        None => {
+                            assert!(tally.front.is_none());
+                            (0, 0)
+                        }
+                    };
+                    all_down += tally.all_down;
+                    redirects += tally.scale.map_or(0, |s| s.redirects);
+                    let delivered: u64 = streams.iter().map(|s| s.len() as u64).sum();
+                    assert_eq!(
+                        delivered + hits + rejected + tally.all_down,
+                        trace.requests,
+                        "{label}: every request lands on exactly one node or the front"
+                    );
+                    if name != "plain" && name != "gateway" {
+                        assert!(
+                            tally.failovers.iter().sum::<u64>() > 0,
+                            "{label}: node loss must fail some arrivals over"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(all_down > 0, "some arrival must find every replica down");
+        assert!(redirects > 0, "the scaler must redirect some arrival");
     }
 }

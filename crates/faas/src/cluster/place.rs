@@ -7,9 +7,9 @@
 //! coordinator-visible deterministic state** (its own cursors and
 //! accumulated expected work — never node-internal progress). That
 //! restriction is what makes cluster runs embarrassingly parallel:
-//! placement is a pure function of the trace prefix, so every node can
-//! re-run the placer locally and filter the trace to its own arrivals
-//! with no cross-node communication (see [`super`]).
+//! placement is a pure function of the trace prefix, so the
+//! coordinator steps the placer once over the whole trace and hands
+//! each node its own arrivals before any node runs (see [`super`]).
 
 use gh_functions::FunctionSpec;
 use gh_sim::Nanos;
@@ -112,8 +112,8 @@ impl Placer {
     /// The function's candidate nodes in deterministic failover order
     /// (home replica first). The fault layer walks this list when the
     /// placed node is inside an outage window; because the order is a
-    /// pure function of the deployment hash, every node replays the
-    /// same failover decision without coordination.
+    /// pure function of the deployment hash, the coordinator's trace
+    /// fold makes every failover decision before any node runs.
     pub fn candidates(&self, f: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.replicas).map(move |k| self.replica(f, k))
     }

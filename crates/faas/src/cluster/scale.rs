@@ -23,16 +23,16 @@
 //! Like the [`super::Placer`] and [`super::GatewayFront`], the scaler
 //! is a **pure fold over the trace**: it reads only arrival times, the
 //! base placement, a per-function cost estimate, and the deterministic
-//! node-loss schedule — never node progress. Every node replays the
-//! identical fold and reaches the identical active-set sequence, which
-//! is what keeps host-parallel cluster execution bit-identical to
-//! serial with autoscaling enabled (`tests/cluster_oracle.rs`).
+//! node-loss schedule — never node progress. The coordinator steps it
+//! once over the trace, before any node runs, which is what keeps
+//! host-parallel cluster execution bit-identical to serial with
+//! autoscaling enabled (`tests/cluster_oracle.rs`).
 //!
 //! Queue depth is modeled, not measured: each node carries a backlog in
 //! virtual nanoseconds that decays in real (virtual) time and grows by
 //! the placed function's expected end-to-end cost. That proxy is exact
 //! enough to steer scaling and — unlike true node queue depths — is
-//! computable by every node from the trace prefix alone.
+//! computable by the coordinator from the trace prefix alone.
 
 use gh_sim::{Nanos, QuantileSketch};
 
@@ -72,8 +72,8 @@ impl NodeScaleConfig {
     }
 }
 
-/// Counters of one scaler fold. Identical on every node of a cluster
-/// run (the fold is pure), so the merge keeps node 0's copy.
+/// Counters of one scaler fold: the cluster result carries the final
+/// state of the coordinator's fold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScaleStats {
     /// Nodes activated under pressure.

@@ -209,8 +209,9 @@ impl FaultPlan {
 
     /// Is `node` down at virtual time `at`? Outages are whole windows
     /// of `node_loss_window`, drawn independently per
-    /// `(node, window-index)` — pure, so every node in a parallel run
-    /// can evaluate every other node's availability.
+    /// `(node, window-index)` — pure, so any caller (the cluster's
+    /// coordinator fold, a node, the migration sim) can evaluate any
+    /// node's availability without coordination.
     pub fn node_down(&self, node: usize, at: Nanos) -> bool {
         if self.cfg.node_loss_rate <= 0.0 {
             return false;

@@ -11,12 +11,17 @@
 //! compared through `{:?}` (shortest round-trip form), which
 //! distinguishes any two different bit patterns.
 
-use gh_faas::cluster::{run_cluster_with, ClusterConfig, ClusterResult, PlacePolicy};
+use gh_faas::cluster::{
+    run_cluster_gateway, run_cluster_with, ClusterConfig, ClusterResult, PlacePolicy,
+};
 use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::fleet::ExecMode;
-use gh_faas::trace::{synthetic_catalog, TraceConfig};
+use gh_faas::trace::{cluster_redeploy_schedule, synthetic_catalog, TraceConfig};
 use gh_faas::NodeScaleConfig;
 use gh_functions::FunctionSpec;
+use gh_gateway::admission::AdmissionConfig;
+use gh_gateway::cache::CacheConfig;
+use gh_gateway::GatewayConfig;
 use gh_isolation::StrategyKind;
 use gh_sim::Nanos;
 use groundhog_core::GroundhogConfig;
@@ -261,4 +266,90 @@ fn empty_run_is_mode_independent() {
     );
     assert_eq!(serial.completed, 0);
     assert_identical("requests=0", &serial, &par);
+}
+
+/// FNV-1a (64-bit) over a rendering's bytes.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Cross-commit pins: the FNV-1a of the `{:?}` rendering of four small
+/// configurations — plain, gateway + redeploys, faulty with node loss,
+/// and autoscaled. The mode-vs-mode oracles above compare two runs of
+/// the *same* code; these constants were recorded before the trace fold
+/// moved from the nodes to the coordinator, so they catch any
+/// refactor that changes a single output byte.
+#[test]
+fn results_match_pinned_digests() {
+    let catalog = synthetic_catalog(20, 7);
+    let tc = TraceConfig {
+        idempotent_frac: 0.5,
+        payload_universe: 24,
+        ..trace(500, 7)
+    };
+    let base = |nodes, policy| {
+        let mut ccfg = ClusterConfig::new(nodes, policy, StrategyKind::Gh, 7);
+        ccfg.slots_per_pool = 1;
+        ccfg
+    };
+    let go = |ccfg: &ClusterConfig| {
+        run_cluster_with(&tc, &catalog, ccfg, GroundhogConfig::gh(), ExecMode::Serial).unwrap()
+    };
+
+    let plain = go(&base(3, PlacePolicy::LeastLoaded));
+
+    let gw = GatewayConfig::builder()
+        .cache(CacheConfig::default_for_ttl(Nanos::from_secs(20)))
+        .admission(AdmissionConfig {
+            rate_per_sec: 60.0,
+            burst: 30,
+            max_in_flight: None,
+        })
+        .build();
+    let gated = run_cluster_gateway(
+        &tc,
+        &catalog,
+        &base(3, PlacePolicy::RoundRobin).with_redeploys(cluster_redeploy_schedule(&tc, 6)),
+        &gw,
+        GroundhogConfig::gh(),
+        ExecMode::Serial,
+    )
+    .unwrap();
+
+    let mut fc = FaultConfig::deaths(7, 0.05);
+    fc.node_loss_rate = 0.3;
+    fc.node_loss_window = Nanos::from_millis(20);
+    fc.retry = RetryPolicy::rerouting();
+    let faulty = go(&base(4, PlacePolicy::FunctionAffinity).with_faults(fc));
+
+    let mut fc = FaultConfig::deaths(7, 0.03);
+    fc.node_loss_rate = 0.2;
+    fc.node_loss_window = Nanos::from_millis(20);
+    let scaled = go(&base(4, PlacePolicy::RoundRobin)
+        .with_faults(fc)
+        .with_autoscale(NodeScaleConfig::balanced(2)));
+
+    assert!(gated.cluster.completed < tc.requests, "the front must act");
+    assert!(gated.gateway.cache_invalidated > 0, "redeploys must land");
+    assert!(faulty.faults.node_losses > 0 && faulty.faults.deaths > 0);
+    assert!(scaled.scale.is_some());
+    let got = [
+        fnv1a(&format!("{plain:?}")),
+        fnv1a(&format!("{gated:?}")),
+        fnv1a(&format!("{faulty:?}")),
+        fnv1a(&format!("{scaled:?}")),
+    ];
+    let pinned: [u64; 4] = [
+        0xeadc_a85f_5d39_47b1,
+        0x6268_692f_8c6e_afef,
+        0xd474_a476_0751_1fff,
+        0x8e7b_8040_6b30_33ef,
+    ];
+    assert_eq!(
+        got.map(|h| format!("{h:#018x}")),
+        pinned.map(|h| format!("{h:#018x}")),
+        "[plain, gateway+redeploys, faulty+node loss, autoscaled]"
+    );
 }
