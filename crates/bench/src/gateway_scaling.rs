@@ -26,10 +26,8 @@
 //!   metrics and the rig asserts the predictive side does not lose —
 //!   deterministic virtual time makes that assert noise-free.
 
-use gh_faas::fleet::{AutoscaleConfig, FleetConfig, RoutePolicy};
-use gh_faas::gateway::{
-    run_gateway_fleet, run_ungated_reference, GatewayFleetConfig, GatewayResult,
-};
+use gh_faas::fleet::{run_fleet_with, AutoscaleConfig, ExecMode, FleetConfig, RoutePolicy};
+use gh_faas::gateway::{run_gateway_fleet, GatewayFleetConfig, GatewayResult};
 use gh_functions::catalog::by_name;
 use gh_gateway::cache::CacheConfig;
 use gh_gateway::prewarm::PrewarmConfig;
@@ -211,13 +209,14 @@ pub fn run() -> GatewayScalingReport {
     let ungated = repeat_identical("ungated", iters, || {
         run_cache_cell(GatewayConfig::disabled(), requests)
     });
-    let reference = run_ungated_reference(
+    let reference = run_fleet_with(
         &spec,
         StrategyKind::Gh,
         GroundhogConfig::gh(),
         2,
         FleetConfig::fixed(RoutePolicy::LeastLoaded, 1_000.0, SEED),
         requests,
+        ExecMode::Serial,
     )
     .expect("ungated reference");
     assert_eq!(

@@ -9,7 +9,10 @@
 //!   replica set, see [`place`]) and drives all of its pools through
 //!   one node-local [`gh_sim::event::EventQueue`] — restore-aware
 //!   scheduling, admission queues and overlap accounting all work
-//!   per-node exactly as in [`crate::fleet`];
+//!   per-node exactly as in [`crate::fleet`], and each dispatch goes
+//!   through the fault-aware step the fleet and gateway loops share
+//!   (`fleet::retry`), so container deaths, retries and restore
+//!   failures behave identically at every layer;
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
 //!   using only deterministic coordinator state (cursors, expected
 //!   work), never node progress;
@@ -73,7 +76,9 @@ use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::fleet::{par, DepthTracker, ExecMode, Pending, Pool, RoutePolicy, Router};
+use crate::fleet::{
+    par, Attempt, DepthTracker, ExecMode, FaultGate, GateEvent, Pending, Pool, RoutePolicy, Router,
+};
 use crate::trace::{TraceConfig, TraceGen};
 
 use std::sync::Mutex;
@@ -397,60 +402,22 @@ fn fold_trace(
     (streams, tally)
 }
 
-/// Park table for killed requests awaiting their backoff. Freed tokens
-/// are reused, so its size is bounded by the retries parked at once,
-/// not by the run's total.
-struct ParkSlab<T> {
-    entries: Vec<Option<T>>,
-    free: Vec<u32>,
-}
-
-impl<T> ParkSlab<T> {
-    fn new() -> ParkSlab<T> {
-        ParkSlab {
-            entries: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Parks `v`, returning its token.
-    fn park(&mut self, v: T) -> u32 {
-        match self.free.pop() {
-            Some(token) => {
-                self.entries[token as usize] = Some(v);
-                token
-            }
-            None => {
-                let token =
-                    u32::try_from(self.entries.len()).expect("park table exceeds u32 tokens");
-                self.entries.push(Some(v));
-                token
-            }
-        }
-    }
-
-    /// Unparks the entry behind `token`, freeing the token.
-    fn take(&mut self, token: u32) -> T {
-        let v = self.entries[token as usize]
-            .take()
-            .expect("retry token fired twice");
-        self.free.push(token);
-        v
-    }
-
-    /// Entries currently parked.
-    fn live(&self) -> usize {
-        self.entries.len() - self.free.len()
-    }
-}
-
 /// Node-local events: a trace arrival reaching the node, a container
 /// (pool, slot) finishing its restore, or a parked retry (token into
-/// the node's park table) coming due after its backoff.
+/// the node's fault gate) coming due after its backoff.
 enum NodeEv {
     Arrival,
     Ready(u32, u32),
     Retry(u32),
+}
+
+impl GateEvent<(u32, u32)> for NodeEv {
+    fn ready((pool, slot): (u32, u32)) -> NodeEv {
+        NodeEv::Ready(pool, slot)
+    }
+    fn retry(token: u32) -> NodeEv {
+        NodeEv::Retry(token)
+    }
 }
 
 /// Runs node `node`'s entire timeline over its arrival stream from the
@@ -498,9 +465,11 @@ fn run_node(
         .collect();
 
     // Fault plan, if armed. Draws are pure hashes of (seed, request,
-    // attempt), so a node's own faults stay node-pure.
-    let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
-    let reroute = plan.map(|p| p.config().retry.reroute).unwrap_or(false);
+    // attempt), so a node's own faults stay node-pure. Killed requests
+    // park on the gate with their (pool, slot); retries stay on this
+    // node — rerouting moves them to another container in the same
+    // pool, never across nodes, so node timelines remain pure.
+    let mut gate = FaultGate::new(ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new));
 
     let delivered = arrivals.len() as u64;
     let mut arrivals = arrivals.into_iter();
@@ -513,12 +482,6 @@ fn run_node(
     let mut depth = DepthTracker::new();
     let mut completed = 0u64;
     let mut queued = 0usize;
-    // Killed requests awaiting their backoff: token → (pending, pool,
-    // slot it died on). Retries stay on this node — rerouting moves
-    // them to another container in the same pool, never across nodes,
-    // so node timelines remain pure.
-    let mut parked: ParkSlab<(Pending, usize, usize)> = ParkSlab::new();
-    let mut fstats = FaultStats::default();
 
     while let Some((now, ev)) = events.pop() {
         let (pi, si) = match ev {
@@ -551,78 +514,31 @@ fn run_node(
             }
             NodeEv::Ready(pi, si) => (pi as usize, si as usize),
             NodeEv::Retry(token) => {
-                let (p, pi, died_si) = parked.take(token);
-                let si = if reroute {
-                    routers[pi].route_avoiding(
-                        now,
-                        &p.principal,
-                        restore_cost[pi],
-                        &pools[pi].slots,
-                        Some(died_si),
-                    )
-                } else {
-                    died_si
-                };
+                let (p, (pi, died_si)) = gate.unpark(token);
+                let pi = pi as usize;
+                let si = gate.retry_slot(
+                    &mut routers[pi],
+                    now,
+                    &p,
+                    restore_cost[pi],
+                    &pools[pi].slots,
+                    died_si as usize,
+                );
                 pools[pi].slots[si].queue.push(p);
                 queued += 1;
                 depth.record(queued);
                 (pi, si)
             }
         };
-        match &plan {
-            None => {
-                if let Some(d) = pools[pi].slots[si].dispatch(now)? {
-                    sojourns.record_nanos(d.sojourn);
-                    completed += 1;
-                    queued -= 1;
-                    events.schedule(d.ready_at, NodeEv::Ready(pi as u32, si as u32));
-                }
+        let home = (pi as u32, si as u32);
+        match gate.dispatch(&mut pools[pi].slots[si], home, now, &mut events)? {
+            Attempt::Served(d) => {
+                sojourns.record_nanos(d.sojourn);
+                completed += 1;
+                queued -= 1;
             }
-            Some(pl) => {
-                let slot = &mut pools[pi].slots[si];
-                let head = if slot.idle_at(now) {
-                    slot.queue.peek().map(|p| (p.id, p.attempt))
-                } else {
-                    None
-                };
-                if let Some((id, attempt)) = head {
-                    if let Some(frac) = pl.death(id, attempt) {
-                        let (mut pending, ready) =
-                            slot.crash(now, frac).expect("idle slot with a queued head");
-                        queued -= 1;
-                        fstats.deaths += 1;
-                        if pl.death_after_commit(id, attempt) {
-                            fstats.duplicates += 1;
-                        }
-                        if attempt < pl.max_attempts() {
-                            fstats.retries += 1;
-                            pending.attempt += 1;
-                            let backoff_at = now + pl.backoff(attempt);
-                            let retry_at = if reroute {
-                                backoff_at
-                            } else {
-                                backoff_at.max(ready)
-                            };
-                            let token = parked.park((pending, pi, si));
-                            events.schedule(retry_at, NodeEv::Retry(token));
-                        } else {
-                            fstats.abandoned += 1;
-                        }
-                        events.schedule(ready, NodeEv::Ready(pi as u32, si as u32));
-                    } else if let Some(d) = slot.dispatch(now)? {
-                        sojourns.record_nanos(d.sojourn);
-                        completed += 1;
-                        queued -= 1;
-                        let ready = if pl.restore_failure(id, attempt) {
-                            fstats.restore_failures += 1;
-                            slot.fail_restore()
-                        } else {
-                            d.ready_at
-                        };
-                        events.schedule(ready, NodeEv::Ready(pi as u32, si as u32));
-                    }
-                }
-            }
+            Attempt::Died => queued -= 1,
+            Attempt::Idle => {}
         }
         if matches!(ev, NodeEv::Ready(..)) {
             depth.record(queued);
@@ -630,13 +546,13 @@ fn run_node(
     }
     assert_eq!(queued, 0, "node {node}: queues must drain");
     assert_eq!(
-        parked.live(),
+        gate.parked(),
         0,
         "node {node}: every parked retry must fire"
     );
     assert_eq!(
         delivered,
-        completed + fstats.abandoned,
+        completed + gate.stats.abandoned,
         "node {node}: every delivered arrival completes or is abandoned"
     );
 
@@ -667,7 +583,7 @@ fn run_node(
         busy,
         containers,
         span_end,
-        faults: fstats,
+        faults: gate.stats,
     })
 }
 
@@ -1145,21 +1061,6 @@ mod tests {
         let large = run(PlacePolicy::RoundRobin, 2, 2_000, 13, ExecMode::Serial);
         assert_eq!(small.stats_bytes, large.stats_bytes);
         assert!(large.stats_bytes < 2 * 2 * 64 * 1024, "sketch-bounded");
-    }
-
-    #[test]
-    fn park_slab_reuses_freed_tokens() {
-        let mut slab = ParkSlab::new();
-        let a = slab.park('a');
-        let b = slab.park('b');
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(slab.take(a), 'a');
-        assert_eq!(slab.park('c'), a, "a freed token is reused");
-        assert_eq!(slab.live(), 2);
-        assert_eq!(slab.take(b), 'b');
-        assert_eq!(slab.take(a), 'c');
-        assert_eq!(slab.live(), 0);
-        assert_eq!(slab.entries.len(), 2, "bounded by the peak parked at once");
     }
 
     /// One node's view of the trace under the per-node replay the

@@ -22,7 +22,10 @@
 //! - [`queue::AdmissionQueue`] — requests buffered until the container
 //!   is provably clean (§4.5), with queue-depth percentile tracking;
 //! - [`autoscaler::Autoscaler`] — optional queue-depth-driven growth and
-//!   idle retirement.
+//!   idle retirement;
+//! - `retry::FaultGate` — the fault-aware dispatch step (death, retry
+//!   park table, restore failure) shared with the gateway and cluster
+//!   loops.
 //!
 //! A pool of one with the round-robin policy reproduces the single
 //! container open-loop semantics exactly (see [`crate::openloop`]).
@@ -47,14 +50,18 @@
 //! [`RoutePolicy::RoundRobin`] (least-loaded and restore-aware
 //! routing read container state at arrival time, an arrival→readiness
 //! data dependence), an autoscaler is configured (growth/retirement
-//! mutates the pool mid-run), the pool has fewer than two slots, fewer
-//! than two threads are available, or the caller forced it
-//! ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`).
+//! mutates the pool mid-run), faults are armed (crash/retry events are
+//! the same kind of dependence), the pool has fewer than two slots,
+//! fewer than two threads are available, or the caller forced it
+//! ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`). It is one loop for
+//! faulty and fault-free runs alike: every dispatch goes through the
+//! fault gate, which without a plan is exactly `Slot::dispatch`.
 
 pub mod autoscaler;
 pub(crate) mod par;
 pub mod pool;
 pub mod queue;
+pub(crate) mod retry;
 pub mod router;
 
 use gh_functions::FunctionSpec;
@@ -70,6 +77,7 @@ pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
 pub use pool::{Dispatched, Pool, PoolMemory, Slot};
 pub use queue::{AdmissionQueue, DepthTracker, Pending};
+pub(crate) use retry::{Attempt, FaultGate, GateEvent};
 pub use router::{RoutePolicy, Router};
 
 /// Fleet-run configuration (the pool itself carries function, strategy
@@ -208,7 +216,16 @@ enum Event {
     Ready(usize),
     /// A killed request's backoff elapsed; re-queue the parked retry at
     /// this token (fault-injecting runs only).
-    Retry(usize),
+    Retry(u32),
+}
+
+impl GateEvent<usize> for Event {
+    fn ready(idx: usize) -> Event {
+        Event::Ready(idx)
+    }
+    fn retry(token: u32) -> Event {
+        Event::Retry(token)
+    }
 }
 
 /// Per-slot counter baseline captured at run start (busy, restore
@@ -236,13 +253,9 @@ pub struct Fleet {
     pub(crate) cfg: FleetConfig,
     pub(crate) router: Router,
     pub(crate) autoscaler: Option<Autoscaler>,
-    /// Fault plan, present only when injection is active — `None` keeps
-    /// every run on the exact fault-free code path (no extra events, no
-    /// extra draws), which is what the fault oracle's bit-identity arm
-    /// pins.
-    pub(crate) faults: Option<FaultPlan>,
-    /// Accounting from the most recent faulty run.
-    pub(crate) fault_stats: FaultStats,
+    /// Fault plan, accounting of the most recent run and retry park
+    /// table; unarmed unless [`Fleet::with_faults`] got an active config.
+    pub(crate) gate: FaultGate<usize>,
 }
 
 impl Fleet {
@@ -255,8 +268,7 @@ impl Fleet {
             cfg,
             router,
             autoscaler,
-            faults: None,
-            fault_stats: FaultStats::default(),
+            gate: FaultGate::new(None),
         }
     }
 
@@ -265,7 +277,7 @@ impl Fleet {
     /// principle — the fault-free path is the same machine code either
     /// way.
     pub fn with_faults(mut self, cfg: FaultConfig) -> Fleet {
-        self.faults = cfg.is_active().then(|| FaultPlan::new(cfg));
+        self.gate = FaultGate::new(cfg.is_active().then(|| FaultPlan::new(cfg)));
         self
     }
 
@@ -356,17 +368,15 @@ impl Fleet {
                 }
             }
         };
-        if self.faults.is_some() {
-            // Faulty runs take the dedicated serial loop: crash/retry
-            // events create arrival→readiness data dependences the
-            // shard/merge scheme cannot express. (Cluster runs still
-            // parallelize across *nodes* with faults on — see
-            // `crate::cluster` — because node timelines stay pure.)
-            return self.run_serial_faulty(pool, requests);
-        }
+        // Faulty runs stay serial: crash/retry events create
+        // arrival→readiness data dependences the shard/merge scheme
+        // cannot express. (Cluster runs still parallelize across *nodes*
+        // with faults on — see `crate::cluster` — because node timelines
+        // stay pure.)
         let eligible = threads >= 2
             && self.cfg.policy == RoutePolicy::RoundRobin
             && self.autoscaler.is_none()
+            && !self.gate.armed()
             && pool.slots.len() >= 2;
         if eligible {
             self.run_parallel(pool, requests, threads)
@@ -376,7 +386,10 @@ impl Fleet {
     }
 
     /// The bit-exact serial reference: one global event loop on the
-    /// caller's thread.
+    /// caller's thread, dispatching through the fleet's
+    /// [`FaultGate`] — with no plan armed that is exactly
+    /// `Slot::dispatch`; with one, crashes park retries on the gate and
+    /// `Event::Retry` re-queues them after their backoff.
     fn run_serial(
         &mut self,
         pool: &mut Pool,
@@ -407,9 +420,10 @@ impl Fleet {
         // stats memory stays constant at 10⁶–10⁷ requests per run.
         let mut sojourns = QuantileSketch::new();
         let mut completed = 0usize;
+        self.gate.stats = FaultStats::default();
 
         while let Some((now, ev)) = events.pop() {
-            match ev {
+            let idx = match ev {
                 Event::Arrival => {
                     let id = next_id;
                     next_id += 1;
@@ -439,250 +453,52 @@ impl Fleet {
                         events.schedule(next_arrival, Event::Arrival);
                         generated += 1;
                     }
-                    if let Some(d) = pool.slots[idx].dispatch(now)? {
-                        sojourns.record_nanos(d.sojourn);
-                        completed += 1;
-                        events.schedule(d.ready_at, Event::Ready(idx));
-                    }
-                    self.autoscale(now, pool, &mut events)?;
+                    idx
                 }
-                Event::Ready(idx) => {
-                    if let Some(d) = pool.slots[idx].dispatch(now)? {
-                        sojourns.record_nanos(d.sojourn);
-                        completed += 1;
-                        events.schedule(d.ready_at, Event::Ready(idx));
-                    }
-                    depth.record(pool.queued());
-                }
-                Event::Retry(_) => unreachable!("fault-free loop schedules no retries"),
-            }
-            if completed == requests && pool.queued() == 0 {
-                break;
-            }
-        }
-        debug_assert_eq!(completed, requests, "all arrivals must be served");
-
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
-    }
-
-    /// The fault-injecting serial loop: the serial reference plus
-    /// crash / recovery / retry events. Entered only when a
-    /// [`FaultPlan`] is armed, so fault-free runs never pay for (or are
-    /// perturbed by) any of this.
-    ///
-    /// Fault semantics per attempt (all draws are pure functions of
-    /// `(fault seed, request id, attempt)` — see [`crate::fault`]):
-    ///
-    /// - **container death**: the head-of-queue request is killed
-    ///   partway through execution ([`Slot::crash`] charges the partial
-    ///   work plus a full re-init); if attempts remain, the request is
-    ///   parked and re-queued after an exponential backoff — on the
-    ///   same container (retry-after-restore) or re-routed away from it
-    ///   ([`RetryPolicy::reroute`](crate::fault::RetryPolicy)) — else
-    ///   it is abandoned;
-    /// - **restore failure**: the response is delivered but the
-    ///   off-path writeback aborts; the container cold-starts before
-    ///   its next admission ([`Slot::fail_restore`]).
-    fn run_serial_faulty(
-        &mut self,
-        pool: &mut Pool,
-        requests: usize,
-    ) -> Result<FleetResult, StrategyError> {
-        let plan = self.faults.expect("faulty loop requires an armed plan");
-        let reroute = plan.config().retry.reroute;
-        let input_kb = pool.spec.input_kb;
-        let t_start = Self::span_start(pool);
-        let offered_rps = self.cfg.offered_rps;
-        let baseline = Self::baselines(pool);
-        let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
-        let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
-        let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut next_arrival = t_start;
-        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-        events.schedule(next_arrival, Event::Arrival);
-        let mut generated = 1usize;
-        let mut next_id = 1u64;
-
-        let mut depth = DepthTracker::new();
-        let mut sojourns = QuantileSketch::new();
-        let mut completed = 0usize;
-        // Killed requests waiting out their backoff, with the slot they
-        // died on; tokens index this table from `Event::Retry`.
-        let mut parked: Vec<Option<(Pending, usize)>> = Vec::new();
-        let mut parked_live = 0usize;
-        let mut stats = FaultStats::default();
-
-        while let Some((now, ev)) = events.pop() {
-            match ev {
-                Event::Arrival => {
-                    let id = next_id;
-                    next_id += 1;
-                    let principal = if self.cfg.principals <= 1 {
-                        "client".to_string()
-                    } else {
-                        format!(
-                            "user-{}",
-                            principal_rng.next_below(self.cfg.principals as u64)
-                        )
-                    };
-                    let idx = self
-                        .router
-                        .route(now, &principal, restore_cost, &pool.slots);
-                    pool.slots[idx].queue.push(Pending {
-                        id,
-                        principal,
-                        input_kb,
-                        arrival: now,
-                        payload_hash: 0,
-                        idempotent: false,
-                        attempt: 1,
-                    });
-                    depth.record(pool.queued());
-                    if generated < requests {
-                        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-                        events.schedule(next_arrival, Event::Arrival);
-                        generated += 1;
-                    }
-                    Self::dispatch_faulty(
-                        &plan,
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut parked,
-                        &mut parked_live,
-                        &mut stats,
-                    )?;
-                    self.autoscale(now, pool, &mut events)?;
-                }
-                Event::Ready(idx) => {
-                    Self::dispatch_faulty(
-                        &plan,
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut parked,
-                        &mut parked_live,
-                        &mut stats,
-                    )?;
-                    depth.record(pool.queued());
-                }
+                Event::Ready(idx) => idx,
                 Event::Retry(token) => {
-                    let (p, died_on) = parked[token].take().expect("retry token fires once");
-                    parked_live -= 1;
-                    let idx = if reroute {
-                        self.router.route_avoiding(
-                            now,
-                            &p.principal,
-                            restore_cost,
-                            &pool.slots,
-                            Some(died_on),
-                        )
-                    } else {
-                        died_on
-                    };
+                    let (p, died_on) = self.gate.unpark(token);
+                    let idx = self.gate.retry_slot(
+                        &mut self.router,
+                        now,
+                        &p,
+                        restore_cost,
+                        &pool.slots,
+                        died_on,
+                    );
                     pool.slots[idx].queue.push(p);
                     depth.record(pool.queued());
-                    Self::dispatch_faulty(
-                        &plan,
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut parked,
-                        &mut parked_live,
-                        &mut stats,
-                    )?;
+                    idx
                 }
+            };
+            let attempt = self
+                .gate
+                .dispatch(&mut pool.slots[idx], idx, now, &mut events)?;
+            if let Attempt::Served(d) = attempt {
+                sojourns.record_nanos(d.sojourn);
+                completed += 1;
             }
-            if completed + stats.abandoned as usize == requests
+            match ev {
+                Event::Arrival => self.autoscale(now, pool, &mut events)?,
+                Event::Ready(_) => depth.record(pool.queued()),
+                Event::Retry(_) => {}
+            }
+            if completed + self.gate.stats.abandoned as usize == requests
                 && pool.queued() == 0
-                && parked_live == 0
+                && self.gate.parked() == 0
             {
                 break;
             }
         }
-        debug_assert_eq!(
-            completed + stats.abandoned as usize,
+        assert_eq!(
+            completed + self.gate.stats.abandoned as usize,
             requests,
             "every arrival is served or abandoned"
         );
-        self.fault_stats = stats;
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
-    }
+        assert_eq!(pool.queued(), 0, "admission queues must drain");
+        assert_eq!(self.gate.parked(), 0, "every parked retry must fire");
 
-    /// One fault-aware dispatch attempt on `idx` at `now` — the faulty
-    /// loop's counterpart of `Slot::dispatch` + `Ready` scheduling.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_faulty(
-        plan: &FaultPlan,
-        pool: &mut Pool,
-        idx: usize,
-        now: Nanos,
-        events: &mut EventQueue<Event>,
-        sojourns: &mut QuantileSketch,
-        completed: &mut usize,
-        parked: &mut Vec<Option<(Pending, usize)>>,
-        parked_live: &mut usize,
-        stats: &mut FaultStats,
-    ) -> Result<(), StrategyError> {
-        let slot = &mut pool.slots[idx];
-        if !slot.idle_at(now) {
-            return Ok(());
-        }
-        let Some(head) = slot.queue.peek() else {
-            return Ok(());
-        };
-        let (id, attempt) = (head.id, head.attempt);
-        if let Some(frac) = plan.death(id, attempt) {
-            let (mut pending, ready) = slot.crash(now, frac).expect("idle slot with queued head");
-            stats.deaths += 1;
-            if plan.death_after_commit(id, attempt) {
-                // The crash landed after the attempt's effects applied:
-                // the retry (if any) re-executes committed work.
-                stats.duplicates += 1;
-            }
-            if attempt < plan.max_attempts() {
-                stats.retries += 1;
-                pending.attempt += 1;
-                let backoff_at = now + plan.backoff(attempt);
-                // Retry-after-restore waits for the recovery too; a
-                // rerouted retry only waits out the backoff.
-                let retry_at = if plan.config().retry.reroute {
-                    backoff_at
-                } else {
-                    backoff_at.max(ready)
-                };
-                let token = parked.len();
-                parked.push(Some((pending, idx)));
-                *parked_live += 1;
-                events.schedule(retry_at, Event::Retry(token));
-            } else {
-                stats.abandoned += 1;
-            }
-            events.schedule(ready, Event::Ready(idx));
-            return Ok(());
-        }
-        if let Some(d) = slot.dispatch(now)? {
-            sojourns.record_nanos(d.sojourn);
-            *completed += 1;
-            let ready = if plan.restore_failure(id, attempt) {
-                stats.restore_failures += 1;
-                slot.fail_restore()
-            } else {
-                d.ready_at
-            };
-            events.schedule(ready, Event::Ready(idx));
-        }
-        Ok(())
+        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
     }
 
     /// The sharded path: plan on the coordinator, fan container-local
@@ -852,8 +668,9 @@ impl Fleet {
                 break;
             }
         }
-        debug_assert_eq!(completed, requests, "all arrivals must be served");
-        debug_assert!(
+        assert_eq!(completed, requests, "all arrivals must be served");
+        assert_eq!(queued_total, 0, "admission queues must drain");
+        assert!(
             mirrors
                 .iter()
                 .enumerate()
@@ -970,7 +787,7 @@ impl Fleet {
                 snapshot_resident_bytes: memory.resident_bytes,
                 snapshot_bytes_per_container: memory.resident_bytes_per_container,
                 stats_bytes: 2 * QuantileSketch::memory_bytes() as u64,
-                faults: self.fault_stats,
+                faults: self.gate.stats,
             },
         }
     }

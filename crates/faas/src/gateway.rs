@@ -20,7 +20,11 @@
 //! tie-breaking) are identical, and gateway-only draws (payload
 //! identity, principal skew, diurnal thinning) ride separate seeded
 //! streams that are skipped entirely when their feature is off. The
-//! differential oracle in `tests/gateway_oracle.rs` pins this.
+//! same holds with fault injection armed on both sides: container
+//! deaths, retries and restore failures go through the fleet's own
+//! fault gate (`fleet::retry`), the one dispatch step every pool loop
+//! shares. The differential oracle in `tests/gateway_oracle.rs` pins
+//! both.
 //!
 //! Cache expiry is driven as events on the same [`EventQueue`] (one
 //! `CacheExpire` per insertion, at the entry's exact virtual-time
@@ -39,9 +43,9 @@ use gh_sim::event::EventQueue;
 use gh_sim::{DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
-use crate::fault::{FaultConfig, FaultPlan};
+use crate::fault::FaultConfig;
 use crate::fleet::{
-    poisson_gap, DepthTracker, ExecMode, Fleet, FleetConfig, FleetResult, Pending, Pool,
+    poisson_gap, Attempt, DepthTracker, Fleet, FleetConfig, FleetResult, GateEvent, Pending, Pool,
     ScaleAction,
 };
 
@@ -132,11 +136,21 @@ enum Event {
     WarmReady(usize),
     /// A result-cache entry reached its TTL deadline.
     CacheExpire,
-    /// A killed request's backoff elapsed (token into the park table).
-    Retry(usize),
+    /// A killed request's backoff elapsed (token into the fault gate's
+    /// park table).
+    Retry(u32),
     /// The function was redeployed: bump the cache generation and drop
     /// the old deployment's cached results.
     Redeploy,
+}
+
+impl GateEvent<usize> for Event {
+    fn ready(idx: usize) -> Event {
+        Event::Ready(idx)
+    }
+    fn retry(token: u32) -> Event {
+        Event::Retry(token)
+    }
 }
 
 /// Drives `requests` arrivals through a gateway in front of a fresh
@@ -180,9 +194,7 @@ impl GatewayFleet {
         }
         let mut fleet = Fleet::new(cfg.fleet.clone());
         if let Some(fc) = cfg.faults {
-            if fc.is_active() {
-                fleet.faults = Some(FaultPlan::new(fc));
-            }
+            fleet = fleet.with_faults(fc);
         }
         GatewayFleet {
             fleet,
@@ -234,11 +246,6 @@ impl GatewayFleet {
         let mut depth = DepthTracker::new();
         let mut sojourns = QuantileSketch::new();
         let mut defer: VecDeque<Pending> = VecDeque::new();
-        // Park table for killed requests awaiting their backoff: token
-        // → (pending, slot it died on). Only touched when faults are
-        // armed.
-        let mut parked: Vec<Option<(Pending, usize)>> = Vec::new();
-        let mut parked_live = 0usize;
         let mut served = 0usize;
         let mut hits = 0u64;
         let mut cache_peak = 0u64;
@@ -270,7 +277,8 @@ impl GatewayFleet {
         generated += 1;
 
         while let Some((now, ev)) = events.pop() {
-            match ev {
+            // The slot this event hands work to, if any.
+            let target = match ev {
                 Event::Arrival => {
                     let id = next_id;
                     next_id += 1;
@@ -304,88 +312,41 @@ impl GatewayFleet {
                     }
 
                     // 2. Admission: token bucket, then the ceiling.
+                    let mut target = None;
                     if !resolved {
+                        let pending = Pending {
+                            id,
+                            principal,
+                            input_kb,
+                            arrival: now,
+                            payload_hash,
+                            idempotent,
+                            attempt: 1,
+                        };
                         let decision = admission
                             .as_mut()
                             .map(|ac| ac.admit(pidx, now))
                             .unwrap_or(Decision::Admit);
                         match decision {
                             Decision::Reject => {}
-                            Decision::Defer => defer.push_back(Pending {
-                                id,
-                                principal,
-                                input_kb,
-                                arrival: now,
-                                payload_hash,
-                                idempotent,
-                                attempt: 1,
-                            }),
+                            Decision::Defer => defer.push_back(pending),
                             Decision::Admit => {
-                                let idx = self.enter_backend(
+                                target = Some(self.enter_backend(
                                     pool,
-                                    Pending {
-                                        id,
-                                        principal,
-                                        input_kb,
-                                        arrival: now,
-                                        payload_hash,
-                                        idempotent,
-                                        attempt: 1,
-                                    },
+                                    pending,
                                     now,
                                     restore_cost,
                                     &mut depth,
                                     admission.as_mut(),
                                     prewarmer.as_mut(),
-                                );
-                                // Next arrival is scheduled before the
-                                // dispatch, matching the serial fleet
-                                // loop's schedule-call order exactly.
-                                if generated < requests {
-                                    self.advance_arrival(
-                                        &mut next_arrival,
-                                        t_start,
-                                        &mut arrival_rng,
-                                        &mut thin_rng,
-                                    );
-                                    events.schedule(next_arrival, Event::Arrival);
-                                    generated += 1;
-                                }
-                                self.dispatch(
-                                    pool,
-                                    idx,
-                                    now,
-                                    &mut events,
-                                    &mut sojourns,
-                                    &mut served,
-                                    cache.as_mut(),
-                                    &mut cache_peak,
-                                    &mut parked,
-                                    &mut parked_live,
-                                )?;
-                                self.scale(
-                                    now,
-                                    pool,
-                                    &mut events,
-                                    prewarmer.as_mut(),
-                                    service_secs,
-                                )?;
-                                if self.done(
-                                    served,
-                                    &admission,
-                                    pool,
-                                    &defer,
-                                    requests,
-                                    parked_live,
-                                ) {
-                                    break;
-                                }
-                                continue;
+                                ));
                             }
                         }
                     }
-                    // Cache-hit / reject / defer paths still drive the
-                    // arrival process forward.
+                    // Every path drives the arrival process forward; an
+                    // admitted arrival's successor is scheduled before
+                    // its dispatch, matching the serial fleet loop's
+                    // schedule-call order exactly.
                     if generated < requests {
                         self.advance_arrival(
                             &mut next_arrival,
@@ -396,6 +357,7 @@ impl GatewayFleet {
                         events.schedule(next_arrival, Event::Arrival);
                         generated += 1;
                     }
+                    target
                 }
                 Event::Ready(idx) => {
                     // One Ready per dispatch: this is the completion
@@ -403,67 +365,38 @@ impl GatewayFleet {
                     if let Some(ac) = admission.as_mut() {
                         ac.end();
                     }
-                    if admission.is_some() {
-                        while admission.as_ref().is_some_and(|ac| ac.has_capacity()) {
-                            let Some(p) = defer.pop_front() else { break };
-                            let slot = self.enter_backend(
-                                pool,
-                                p,
-                                now,
-                                restore_cost,
-                                &mut depth,
-                                admission.as_mut(),
-                                prewarmer.as_mut(),
-                            );
-                            self.dispatch(
-                                pool,
-                                slot,
-                                now,
-                                &mut events,
-                                &mut sojourns,
-                                &mut served,
-                                cache.as_mut(),
-                                &mut cache_peak,
-                                &mut parked,
-                                &mut parked_live,
-                            )?;
-                        }
+                    while admission.as_ref().is_some_and(|ac| ac.has_capacity()) {
+                        let Some(p) = defer.pop_front() else { break };
+                        let slot = self.enter_backend(
+                            pool,
+                            p,
+                            now,
+                            restore_cost,
+                            &mut depth,
+                            admission.as_mut(),
+                            prewarmer.as_mut(),
+                        );
+                        self.dispatch(
+                            pool,
+                            slot,
+                            now,
+                            &mut events,
+                            &mut sojourns,
+                            &mut served,
+                            cache.as_mut(),
+                            &mut cache_peak,
+                        )?;
                     }
-                    self.dispatch(
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut served,
-                        cache.as_mut(),
-                        &mut cache_peak,
-                        &mut parked,
-                        &mut parked_live,
-                    )?;
-                    depth.record(pool.queued());
+                    Some(idx)
                 }
-                Event::WarmReady(idx) => {
-                    // A cold start completed (pre-warm or autoscale):
-                    // serve anything already routed to the new slot.
-                    self.dispatch(
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut served,
-                        cache.as_mut(),
-                        &mut cache_peak,
-                        &mut parked,
-                        &mut parked_live,
-                    )?;
-                    depth.record(pool.queued());
-                }
+                // A cold start completed (pre-warm or autoscale): serve
+                // anything already routed to the new slot.
+                Event::WarmReady(idx) => Some(idx),
                 Event::CacheExpire => {
                     if let Some(c) = cache.as_mut() {
                         c.expire_due(now);
                     }
+                    None
                 }
                 Event::Retry(token) => {
                     // A killed request's backoff elapsed: re-enter the
@@ -471,41 +404,21 @@ impl GatewayFleet {
                     // attempt and keeps its admission (it re-begins the
                     // ceiling it released when the crash's Ready edge
                     // fired), but never re-pays the token bucket.
-                    let (p, died_idx) = parked[token].take().expect("retry token fired twice");
-                    parked_live -= 1;
-                    let reroute = self
-                        .fleet
-                        .faults
-                        .map(|pl| pl.config().retry.reroute)
-                        .unwrap_or(false);
-                    let idx = if reroute {
-                        self.fleet.router.route_avoiding(
-                            now,
-                            &p.principal,
-                            restore_cost,
-                            &pool.slots,
-                            Some(died_idx),
-                        )
-                    } else {
-                        died_idx
-                    };
+                    let (p, died_on) = self.fleet.gate.unpark(token);
+                    let idx = self.fleet.gate.retry_slot(
+                        &mut self.fleet.router,
+                        now,
+                        &p,
+                        restore_cost,
+                        &pool.slots,
+                        died_on,
+                    );
                     pool.slots[idx].queue.push(p);
                     depth.record(pool.queued());
                     if let Some(ac) = admission.as_mut() {
                         ac.begin();
                     }
-                    self.dispatch(
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut served,
-                        cache.as_mut(),
-                        &mut cache_peak,
-                        &mut parked,
-                        &mut parked_live,
-                    )?;
+                    Some(idx)
                 }
                 Event::Redeploy => {
                     // New code is live: results produced by the old
@@ -517,19 +430,42 @@ impl GatewayFleet {
                     if let Some(c) = cache.as_mut() {
                         c.redeploy(0);
                     }
+                    None
                 }
+            };
+            if let Some(idx) = target {
+                self.dispatch(
+                    pool,
+                    idx,
+                    now,
+                    &mut events,
+                    &mut sojourns,
+                    &mut served,
+                    cache.as_mut(),
+                    &mut cache_peak,
+                )?;
             }
-            if self.done(served, &admission, pool, &defer, requests, parked_live) {
+            match ev {
+                Event::Arrival if target.is_some() => {
+                    self.scale(now, pool, &mut events, prewarmer.as_mut(), service_secs)?
+                }
+                Event::Ready(_) | Event::WarmReady(_) => depth.record(pool.queued()),
+                _ => {}
+            }
+            if self.done(served, &admission, pool, &defer, requests) {
                 break;
             }
         }
 
         let rejected = admission.as_ref().map(|a| a.rejected).unwrap_or(0);
-        debug_assert_eq!(
-            served as u64 + rejected + self.fleet.fault_stats.abandoned,
+        assert_eq!(
+            served as u64 + rejected + self.fleet.gate.stats.abandoned,
             requests as u64,
             "every arrival must be served, shed, or abandoned"
         );
+        assert_eq!(pool.queued(), 0, "admission queues must drain");
+        assert!(defer.is_empty(), "the defer buffer must drain");
+        assert_eq!(self.fleet.gate.parked(), 0, "every parked retry must fire");
 
         let mut gw = GatewayStats {
             served: served as u64,
@@ -542,7 +478,7 @@ impl GatewayFleet {
         if let Some(c) = &cache {
             gw.absorb_cache(&c.stats);
         }
-        debug_assert_eq!(gw.cache_hits, hits);
+        assert_eq!(gw.cache_hits, hits, "cache and loop disagree on hits");
         let fleet = self
             .fleet
             .finish(pool, t_start, &baseline, &depth, &sojourns, served);
@@ -617,9 +553,9 @@ impl GatewayFleet {
         idx
     }
 
-    /// Dispatches `idx` if it is clean and has queued work; records the
-    /// sojourn, schedules the completion event, and fills the result
-    /// cache from idempotent responses. With faults armed, the head may
+    /// Dispatches `idx` through the fleet's fault gate if it is clean and
+    /// has queued work; records the sojourn and fills the result cache
+    /// from idempotent responses. With faults armed, the head may
     /// instead die mid-request (no response, no cache fill; the Ready
     /// edge still fires at recovery, releasing the ceiling and draining
     /// defers) or fail its restore (the completion stands, readiness is
@@ -635,75 +571,33 @@ impl GatewayFleet {
         served: &mut usize,
         cache: Option<&mut ResultCache>,
         cache_peak: &mut u64,
-        parked: &mut Vec<Option<(Pending, usize)>>,
-        parked_live: &mut usize,
     ) -> Result<(), StrategyError> {
-        let plan = self.fleet.faults;
-        let head = match plan {
-            Some(_) if pool.slots[idx].idle_at(now) => {
-                pool.slots[idx].queue.peek().map(|p| (p.id, p.attempt))
-            }
-            _ => None,
+        let Attempt::Served(d) =
+            self.fleet
+                .gate
+                .dispatch(&mut pool.slots[idx], idx, now, events)?
+        else {
+            return Ok(());
         };
-        if let (Some(pl), Some((id, attempt))) = (plan, head) {
-            if let Some(frac) = pl.death(id, attempt) {
-                let (mut pending, ready) = pool.slots[idx]
-                    .crash(now, frac)
-                    .expect("idle slot with a queued head");
-                let st = &mut self.fleet.fault_stats;
-                st.deaths += 1;
-                if pl.death_after_commit(id, attempt) {
-                    st.duplicates += 1;
+        sojourns.record_nanos(d.sojourn);
+        *served += 1;
+        if d.idempotent {
+            if let Some(c) = cache {
+                let key = CacheKey {
+                    fn_id: 0,
+                    generation: self.generation,
+                    payload_hash: d.payload_hash,
+                };
+                // The fill becomes visible when the response leaves the
+                // container; its TTL runs from that instant.
+                c.insert(key, d.output_kb, d.resp_at);
+                if let Some(at) = c.next_expiry() {
+                    // One expiry event per insertion keeps the sweep
+                    // exact without a timer wheel; stale events sweep
+                    // nothing.
+                    events.schedule(at.max(d.resp_at), Event::CacheExpire);
                 }
-                if attempt < pl.max_attempts() {
-                    st.retries += 1;
-                    pending.attempt += 1;
-                    let backoff_at = now + pl.backoff(attempt);
-                    let retry_at = if pl.config().retry.reroute {
-                        backoff_at
-                    } else {
-                        backoff_at.max(ready)
-                    };
-                    let token = parked.len();
-                    parked.push(Some((pending, idx)));
-                    *parked_live += 1;
-                    events.schedule(retry_at, Event::Retry(token));
-                } else {
-                    st.abandoned += 1;
-                }
-                events.schedule(ready, Event::Ready(idx));
-                return Ok(());
-            }
-        }
-        if let Some(d) = pool.slots[idx].dispatch(now)? {
-            sojourns.record_nanos(d.sojourn);
-            *served += 1;
-            let mut ready_at = d.ready_at;
-            if let (Some(pl), Some((id, attempt))) = (plan, head) {
-                if pl.restore_failure(id, attempt) {
-                    self.fleet.fault_stats.restore_failures += 1;
-                    ready_at = pool.slots[idx].fail_restore();
-                }
-            }
-            events.schedule(ready_at, Event::Ready(idx));
-            if d.idempotent {
-                if let Some(c) = cache {
-                    let key = CacheKey {
-                        fn_id: 0,
-                        generation: self.generation,
-                        payload_hash: d.payload_hash,
-                    };
-                    // The fill becomes visible when the response leaves
-                    // the container; its TTL runs from that instant.
-                    c.insert(key, d.output_kb, d.resp_at);
-                    if let Some(at) = c.next_expiry() {
-                        // One expiry event per insertion keeps the
-                        // sweep exact without a timer wheel; stale
-                        // events sweep nothing.
-                        events.schedule(at.max(d.resp_at), Event::CacheExpire);
-                    }
-                    *cache_peak = (*cache_peak).max(c.bytes());
-                }
+                *cache_peak = (*cache_peak).max(c.bytes());
             }
         }
         Ok(())
@@ -754,28 +648,12 @@ impl GatewayFleet {
         pool: &Pool,
         defer: &VecDeque<Pending>,
         requests: usize,
-        parked_live: usize,
     ) -> bool {
         let rejected = admission.as_ref().map(|a| a.rejected).unwrap_or(0) as usize;
-        let abandoned = self.fleet.fault_stats.abandoned as usize;
+        let abandoned = self.fleet.gate.stats.abandoned as usize;
         served + rejected + abandoned == requests
             && pool.queued() == 0
             && defer.is_empty()
-            && parked_live == 0
+            && self.fleet.gate.parked() == 0
     }
-}
-
-/// [`run_gateway_fleet`] but executing the *ungated* fleet reference on
-/// the same pool construction — the differential oracle's baseline.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ungated_reference(
-    spec: &FunctionSpec,
-    kind: StrategyKind,
-    gh: GroundhogConfig,
-    pool_size: usize,
-    fleet: FleetConfig,
-    requests: usize,
-) -> Result<FleetResult, StrategyError> {
-    let mut pool = Pool::build(spec, kind, gh, pool_size, fleet.seed)?;
-    Fleet::new(fleet).run_with(&mut pool, requests, ExecMode::Serial)
 }

@@ -78,4 +78,4 @@ pub use request::{Request, Response};
 pub use trace::{synthetic_catalog, TraceConfig, TraceEvent, TraceGen};
 pub use workflow::dag::{random_dag_spec, run_dag_workflows, DagNode, DagOp, DagResult, DagSpec};
 pub use workflow::migrate::{run_migrating_dags, MigrateConfig, MigrateResult};
-pub use workflow::{run_workflows, WorkflowConfig, WorkflowResult};
+pub use workflow::WorkflowConfig;

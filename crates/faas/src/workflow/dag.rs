@@ -1,8 +1,9 @@
 //! Dynamic workflow DAGs with crash-exact recovery.
 //!
-//! [`super::run_workflows`] runs static chains; real FaaS compositions
-//! branch. A [`DagSpec`] adds the three shapes that stress recovery
-//! (AFT's generalization from chains to arbitrary DAGs, PAPERS.md):
+//! Real FaaS compositions branch. A [`DagSpec`] is a static chain of
+//! tasks ([`DagSpec::chain`]) plus the three shapes that stress
+//! recovery (AFT's generalization from chains to arbitrary DAGs,
+//! PAPERS.md):
 //!
 //! - **fan-out** ([`DagOp::FanOut`]): one hop's output spawns `width`
 //!   parallel branch hops, each committing under its own hop path;
@@ -98,7 +99,7 @@ pub struct DagSpec {
 
 impl DagSpec {
     /// A linear chain of `Task` nodes over `funcs` — the degenerate
-    /// DAG, useful as a baseline.
+    /// DAG, and how a static workflow chain is expressed.
     pub fn chain(funcs: &[usize]) -> DagSpec {
         DagSpec {
             nodes: funcs

@@ -2,19 +2,18 @@
 //!
 //! Groundhog isolates *requests*; real FaaS applications compose them
 //! into chains and DAGs (the paper's motivating apps — ML inference
-//! pipelines, image processing — are multi-stage). This module runs
-//! workflow instances over real [`Container`]s and layers on the two
-//! pieces of state the fault layer needs to prove crash-equivalence
-//! against:
+//! pipelines, image processing — are multi-stage). The runners run
+//! workflow instances over real [`Container`](crate::container::Container)s
+//! and share the two pieces of state kept here, which the fault layer
+//! needs to prove crash-equivalence against:
 //!
 //! - **Idempotent commits** keyed by `(workflow, hop_path)`: every hop
 //!   commits exactly one versioned write to the shared KV shim. A
 //!   retried hop whose earlier attempt crashed *after* its commit
 //!   ([`crate::fault::FaultPlan::death_after_commit`]) re-derives the
 //!   identical value and its re-commit is suppressed by
-//!   [`VersionedKv::commit`] — never double-applied. For chains the
-//!   hop path is just the hop index; DAGs encode `(node, branch)` in
-//!   it ([`dag::hop_path`]).
+//!   [`VersionedKv::commit`] — never double-applied. The hop path
+//!   encodes `(node, branch)` ([`dag::hop_path`]).
 //! - **Read-atomic snapshot reads** (AFT-style): each workflow pins the
 //!   KV version at its first hop; every hop of that workflow reads
 //!   through the pinned snapshot ([`VersionedKv::read_at`]). Retries
@@ -25,10 +24,11 @@
 //!   in the same final KV state and per-workflow outputs as the
 //!   crash-free run (`tests/fault_oracle.rs`, `tests/dag_oracle.rs`).
 //!
-//! The submodules extend the chain runner kept here:
+//! The runners:
 //!
 //! - [`dag`]: dynamic DAGs — fan-out, deterministic fan-in merges, and
-//!   conditional edges — committed hop-by-hop to the same KV;
+//!   conditional edges — committed hop-by-hop to the same KV; a static
+//!   chain is the degenerate DAG [`dag::DagSpec::chain`];
 //! - [`migrate`]: cross-node workflow migration — in-flight hops
 //!   re-dispatched along [`crate::cluster::Placer`] replica order when
 //!   their node is lost, carrying only the KV snapshot version.
@@ -38,7 +38,7 @@
 //! (`gh_mem::Space::tainted_pages`). Under `Base` the function's dirty
 //! pages survive into the next invocation — a tainted page flowing
 //! into the downstream payload — and are counted in
-//! [`WorkflowResult::tainted_handoffs`]; under `Gh` the rollback wipes
+//! [`dag::DagResult::tainted_handoffs`]; under `Gh` the rollback wipes
 //! them and the count stays zero (the cross-hop version of the
 //! container-level isolation tests).
 
@@ -47,14 +47,9 @@ pub mod migrate;
 
 use std::collections::{BTreeMap, HashSet};
 
-use gh_functions::FunctionSpec;
-use gh_isolation::{StrategyError, StrategyKind};
-use gh_mem::RequestId;
-use groundhog_core::GroundhogConfig;
+use gh_isolation::StrategyKind;
 
-use crate::container::Container;
-use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::request::Request;
+use crate::fault::FaultConfig;
 
 /// splitmix64 finalizer (same bijective mix as the fault streams);
 /// duplicated so hop values do not depend on the fault module's seed
@@ -70,12 +65,6 @@ fn mix(mut x: u64) -> u64 {
 /// so read-atomicity is actually load-bearing (later workflows read
 /// earlier workflows' commits through their pinned snapshots).
 pub const AGG_KEY: u64 = 0;
-
-/// Per-workflow scratch key (odd, so it never collides with
-/// [`AGG_KEY`]).
-fn wf_key(workflow: u64) -> u64 {
-    mix(0x3A93_0000 ^ workflow) | 1
-}
 
 /// Versioned read-atomic KV shim shared across workflow hops.
 ///
@@ -128,8 +117,8 @@ impl VersionedKv {
     /// Idempotent commit: applies `value` under `key` unless
     /// `(workflow, hop_path)` already committed, in which case the
     /// write is suppressed and counted. Returns whether the write
-    /// applied. Chains pass the hop index as the path; DAG hops encode
-    /// `(node, branch)` via [`dag::hop_path`].
+    /// applied. Hops encode `(node, branch)` as the path via
+    /// [`dag::hop_path`].
     pub fn commit(&mut self, workflow: u64, hop: u64, key: u64, value: u64) -> bool {
         if !self.applied.insert((workflow, hop)) {
             self.duplicates_suppressed += 1;
@@ -163,8 +152,9 @@ impl VersionedKv {
     }
 }
 
-/// Workflow-run configuration. The chain itself (one [`FunctionSpec`]
-/// per hop) is passed to [`run_workflows`] alongside this.
+/// Workflow-run configuration. The DAG itself and the catalog its hops
+/// index are passed to [`dag::run_dag_workflows`] (or, per node, to
+/// [`migrate::run_migrating_dags`]) alongside this.
 #[derive(Clone, Debug)]
 pub struct WorkflowConfig {
     /// Number of workflow instances to run through the chain.
@@ -196,150 +186,16 @@ impl WorkflowConfig {
     }
 }
 
-/// What a workflow run produced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkflowResult {
-    /// Workflow instances started.
-    pub workflows: u64,
-    /// Instances that ran every hop to completion.
-    pub completed: u64,
-    /// Final-hop output per workflow (`None` for abandoned instances).
-    pub outputs: Vec<Option<u64>>,
-    /// Fingerprint of the final KV state ([`VersionedKv::fingerprint`]).
-    pub kv_fingerprint: u64,
-    /// Total KV versions applied ([`VersionedKv::total_versions`]).
-    pub kv_versions: u64,
-    /// Retried re-commits absorbed by idempotence — these are the
-    /// would-be double-applies; `kv_versions` proves none landed.
-    pub duplicates_suppressed: u64,
-    /// Hops whose response carried request-tainted pages into the next
-    /// hop's payload (zero under `Gh`, positive under `Base`).
-    pub tainted_handoffs: u64,
-    /// Fault accounting for the run.
-    pub faults: FaultStats,
-}
-
-/// Runs `cfg.workflows` instances of the static chain `chain` (hop `h`
-/// executes on a dedicated warm container of `chain[h]`), with
-/// idempotent commits and pinned snapshot reads against a shared
-/// [`VersionedKv`]. Returns per-workflow outputs plus the state
-/// fingerprints the crash-equivalence oracle compares.
-pub fn run_workflows(
-    chain: &[FunctionSpec],
-    gh: GroundhogConfig,
-    cfg: &WorkflowConfig,
-) -> Result<WorkflowResult, StrategyError> {
-    assert!(!chain.is_empty(), "a chain needs at least one hop");
-    let plan = cfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
-    let mut containers: Vec<Container> = Vec::with_capacity(chain.len());
-    for (h, spec) in chain.iter().enumerate() {
-        containers.push(Container::cold_start(
-            spec,
-            cfg.kind,
-            gh.clone(),
-            mix(cfg.seed ^ 0x3077_F10E ^ h as u64),
-        )?);
-    }
-    let hops = chain.len() as u64;
-    let mut kv = VersionedKv::new();
-    let mut outputs: Vec<Option<u64>> = Vec::with_capacity(cfg.workflows as usize);
-    let mut completed = 0u64;
-    let mut tainted_handoffs = 0u64;
-    let mut faults = FaultStats::default();
-    // Container-side request ids must be unique per invoke (taint
-    // tracking is per request), so they come off a running counter.
-    // Fault draws instead key on a *stable* per-(workflow, hop) id so
-    // the schedule does not depend on how many attempts ran before.
-    let mut invoke_seq = 1u64;
-    for w in 0..cfg.workflows {
-        let pinned = kv.snapshot();
-        let mut input = mix(cfg.seed ^ 0x1297_07AD ^ w);
-        let mut alive = true;
-        let mut last = 0u64;
-        for hop in 0..chain.len() {
-            let fault_id = w * hops + hop as u64 + 1;
-            let key = if hop + 1 == chain.len() {
-                AGG_KEY
-            } else {
-                wf_key(w)
-            };
-            // The hop value is a pure function of (workflow, hop,
-            // input, pinned reads): retries recompute it bit-for-bit.
-            let agg_seen = kv.read_at(AGG_KEY, pinned).unwrap_or(0);
-            let value = mix(input ^ mix((w << 8) ^ hop as u64) ^ agg_seen);
-            let mut attempt = 1u32;
-            loop {
-                let rid = invoke_seq;
-                invoke_seq += 1;
-                let principal = format!("wf-{w}");
-                let req = Request::new(rid, &principal, chain[hop].input_kb);
-                containers[hop].invoke(&req)?;
-                let tainted = {
-                    let c = &containers[hop];
-                    let proc = c.kernel.process(c.fproc.pid).expect("function process");
-                    !proc
-                        .mem
-                        .tainted_pages(RequestId(rid), c.kernel.frames())
-                        .is_empty()
-                };
-                if let Some(pl) = &plan {
-                    if pl.death(fault_id, attempt).is_some() {
-                        faults.deaths += 1;
-                        if pl.death_after_commit(fault_id, attempt) {
-                            // The commit raced ahead of the crash:
-                            // state applied, response lost. The retry
-                            // will re-derive `value` and be absorbed.
-                            faults.duplicates += 1;
-                            kv.commit(w, hop as u64, key, value);
-                        }
-                        if attempt < pl.max_attempts() {
-                            faults.retries += 1;
-                            attempt += 1;
-                            continue;
-                        }
-                        faults.abandoned += 1;
-                        alive = false;
-                        break;
-                    }
-                }
-                if tainted && hop + 1 < chain.len() {
-                    tainted_handoffs += 1;
-                }
-                kv.commit(w, hop as u64, key, value);
-                last = value;
-                break;
-            }
-            if !alive {
-                break;
-            }
-            input = value;
-        }
-        if alive {
-            completed += 1;
-            outputs.push(Some(last));
-        } else {
-            outputs.push(None);
-        }
-    }
-    Ok(WorkflowResult {
-        workflows: cfg.workflows,
-        completed,
-        outputs,
-        kv_fingerprint: kv.fingerprint(),
-        kv_versions: kv.total_versions(),
-        duplicates_suppressed: kv.duplicates_suppressed,
-        tainted_handoffs,
-        faults,
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use super::dag::{run_dag_workflows, DagSpec};
     use super::*;
     use crate::fault::RetryPolicy;
     use gh_functions::catalog::by_name;
+    use gh_functions::FunctionSpec;
+    use groundhog_core::GroundhogConfig;
 
-    fn chain(names: &[&str]) -> Vec<FunctionSpec> {
+    fn funcs(names: &[&str]) -> Vec<FunctionSpec> {
         names.iter().map(|n| by_name(n).unwrap()).collect()
     }
 
@@ -368,9 +224,10 @@ mod tests {
 
     #[test]
     fn chains_complete_and_commit_once_per_hop() {
-        let specs = chain(&["get-time (n)", "float (p)"]);
+        let fs = funcs(&["get-time (n)", "float (p)"]);
         let cfg = WorkflowConfig::new(12, StrategyKind::Gh, 0xC4A1);
-        let r = run_workflows(&specs, GroundhogConfig::gh(), &cfg).unwrap();
+        let r =
+            run_dag_workflows(&DagSpec::chain(&[0, 1]), &fs, GroundhogConfig::gh(), &cfg).unwrap();
         assert_eq!(r.completed, 12);
         assert!(r.outputs.iter().all(|o| o.is_some()));
         assert_eq!(r.kv_versions, 12 * 2, "one commit per (workflow, hop)");
@@ -381,16 +238,17 @@ mod tests {
 
     #[test]
     fn crashes_with_retries_are_state_equivalent_to_crash_free() {
-        let specs = chain(&["get-time (n)", "float (p)"]);
+        let fs = funcs(&["get-time (n)", "float (p)"]);
+        let chain = DagSpec::chain(&[0, 1]);
         let clean_cfg = WorkflowConfig::new(30, StrategyKind::Gh, 0xB0B);
-        let clean = run_workflows(&specs, GroundhogConfig::gh(), &clean_cfg).unwrap();
+        let clean = run_dag_workflows(&chain, &fs, GroundhogConfig::gh(), &clean_cfg).unwrap();
         let mut fc = FaultConfig::deaths(0xD1E, 0.10);
         fc.retry = RetryPolicy {
             max_attempts: 6,
             ..RetryPolicy::bounded()
         };
         let faulty_cfg = clean_cfg.clone().with_faults(fc);
-        let faulty = run_workflows(&specs, GroundhogConfig::gh(), &faulty_cfg).unwrap();
+        let faulty = run_dag_workflows(&chain, &fs, GroundhogConfig::gh(), &faulty_cfg).unwrap();
         assert!(faulty.faults.deaths > 0, "faults actually fired");
         assert_eq!(faulty.faults.abandoned, 0, "6 attempts never exhaust");
         assert_eq!(faulty.completed, 30);
@@ -407,9 +265,10 @@ mod tests {
 
     #[test]
     fn base_leaks_tainted_pages_across_hops() {
-        let specs = chain(&["telco (p)", "float (p)"]);
+        let fs = funcs(&["telco (p)", "float (p)"]);
         let cfg = WorkflowConfig::new(6, StrategyKind::Base, 0x7A1);
-        let r = run_workflows(&specs, GroundhogConfig::gh(), &cfg).unwrap();
+        let r =
+            run_dag_workflows(&DagSpec::chain(&[0, 1]), &fs, GroundhogConfig::gh(), &cfg).unwrap();
         assert!(
             r.tainted_handoffs > 0,
             "Base leaves request pages dirty at the handoff"

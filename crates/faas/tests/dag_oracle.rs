@@ -5,8 +5,9 @@
 //!    disabled (inert [`FaultConfig`], or none) is bit-identical —
 //!    `{:?}` fingerprint and CSV rendering — to the plain run, for both
 //!    the single-node container runner and the migrating cluster.
-//! 2. **Crash-equivalence.** Across seeds × death rates × fan-out
-//!    widths, a faulty run with zero abandonment ends in exactly the
+//! 2. **Crash-equivalence.** Across seeds × death rates × shapes
+//!    (random DAGs of two fan-out widths, and a plain chain), a faulty
+//!    run with zero abandonment ends in exactly the
 //!    crash-free final KV state: same fingerprint, same per-workflow
 //!    outputs, same applied version count (zero double-applied joins),
 //!    and `duplicates_suppressed` fully accounted by the fault ledger.
@@ -88,14 +89,23 @@ fn disabled_faults_are_invisible_to_dag_runs() {
 fn dag_crash_equivalence_across_seeds_rates_and_widths() {
     let fs = funcs();
     for &seed in &[0xA5u64, 0x51CE] {
-        for &width in &[2u32, 4] {
-            let spec = random_dag_spec(seed ^ u64::from(width), fs.len(), width);
-            let cfg = WorkflowConfig::new(10, StrategyKind::Gh, seed);
+        let shapes = [2u32, 4].map(|width| {
+            (
+                format!("width={width}"),
+                random_dag_spec(seed ^ u64::from(width), fs.len(), width),
+                10,
+            )
+        });
+        // A two-hop chain has few hops per workflow, so it runs more
+        // workflows for deaths to fire at the lower rate.
+        let chain = ("chain".to_string(), DagSpec::chain(&[0, 1]), 25);
+        for (shape, spec, workflows) in shapes.into_iter().chain([chain]) {
+            let cfg = WorkflowConfig::new(workflows, StrategyKind::Gh, seed);
             let clean = run_dag_workflows(&spec, &fs, GroundhogConfig::gh(), &cfg).unwrap();
             for &rate in &[0.05f64, 0.15] {
                 let fcfg = cfg.clone().with_faults(deaths(seed, rate));
                 let faulty = run_dag_workflows(&spec, &fs, GroundhogConfig::gh(), &fcfg).unwrap();
-                let tag = format!("seed={seed:x} width={width} rate={rate}");
+                let tag = format!("seed={seed:x} {shape} rate={rate}");
                 assert_eq!(
                     faulty.faults.abandoned, 0,
                     "{tag}: 10 attempts must ride out these rates"
@@ -132,10 +142,10 @@ fn dag_crash_equivalence_across_seeds_rates_and_widths() {
 }
 
 #[test]
-fn chain_dag_agrees_with_the_chain_runner_shape() {
-    // The degenerate DAG (a pure chain) exercises the same hop count
-    // and commit discipline as `run_workflows`' chains: one applied
-    // version per hop per workflow, all workflows complete.
+fn chain_dag_commits_once_per_hop_per_workflow() {
+    // The degenerate DAG (a pure chain) is how a static workflow chain
+    // runs: one applied version per hop per workflow, all workflows
+    // complete.
     let fs = funcs();
     let spec = DagSpec::chain(&[0, 1, 0]);
     let cfg = WorkflowConfig::new(8, StrategyKind::Gh, 33);

@@ -9,6 +9,10 @@
 //!   sketch-derived float, compared through `{:?}` (shortest round-trip
 //!   rendering, distinguishes any two f64 bit patterns) and through a
 //!   CSV-style line, across seeds × route policies × autoscaler on/off.
+//!   With fault injection armed on both sides (deaths, restore
+//!   failures, both retry policies) the pass-through gateway must still
+//!   equal the faulty [`Fleet::run`]: the two loops share one
+//!   fault-aware dispatch step.
 //! - **Cluster**: [`run_cluster_gateway`] with [`GatewayConfig::disabled`]
 //!   must embed a [`ClusterResult`] byte-identical to [`run_cluster_with`],
 //!   and with policies *enabled* the node-parallel run must stay
@@ -20,8 +24,11 @@
 //! so running the same config twice must reproduce every byte.
 
 use gh_faas::cluster::{run_cluster_gateway, run_cluster_with, ClusterConfig, PlacePolicy};
-use gh_faas::fleet::{AutoscaleConfig, ExecMode, FleetConfig, FleetResult, RoutePolicy};
-use gh_faas::gateway::{run_gateway_fleet, run_ungated_reference, GatewayFleetConfig};
+use gh_faas::fault::{FaultConfig, RetryPolicy};
+use gh_faas::fleet::{
+    run_fleet_with, AutoscaleConfig, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
+};
+use gh_faas::gateway::{run_gateway_fleet, GatewayFleetConfig};
 use gh_faas::trace::cluster_redeploy_schedule;
 use gh_faas::trace::{synthetic_catalog, TraceConfig};
 use gh_gateway::admission::AdmissionConfig;
@@ -86,13 +93,14 @@ fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
                     160,
                 )
                 .unwrap();
-                let ungated = run_ungated_reference(
+                let ungated = run_fleet_with(
                     &spec,
                     StrategyKind::Gh,
                     GroundhogConfig::gh(),
                     3,
                     fc,
                     160,
+                    ExecMode::Serial,
                 )
                 .unwrap();
                 let label = format!("seed={seed} policy={policy:?} autoscale={autoscale}");
@@ -114,6 +122,61 @@ fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
                     },
                     "{label}: a pass-through gateway serves everything, observes nothing"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn passthrough_gateway_with_faults_is_the_faulty_fleet_bit_for_bit() {
+    let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
+    for seed in [3u64, 17, 4242] {
+        for policy in [
+            RoutePolicy::RoundRobin,
+            RoutePolicy::LeastLoaded,
+            RoutePolicy::RestoreAware,
+        ] {
+            for autoscale in [false, true] {
+                for retry in [RetryPolicy::bounded(), RetryPolicy::rerouting()] {
+                    let mut faults = FaultConfig::deaths(seed, 0.08);
+                    faults.restore_failure_rate = 0.03;
+                    faults.retry = retry;
+                    let fc = fleet_cfg(policy, seed, autoscale);
+                    let gated = run_gateway_fleet(
+                        &spec,
+                        StrategyKind::Gh,
+                        GroundhogConfig::gh(),
+                        3,
+                        GatewayFleetConfig {
+                            faults: Some(faults),
+                            ..GatewayFleetConfig::passthrough(fc.clone())
+                        },
+                        160,
+                    )
+                    .unwrap();
+                    let mut pool =
+                        Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 3, seed)
+                            .unwrap();
+                    let fleet = Fleet::new(fc)
+                        .with_faults(faults)
+                        .run(&mut pool, 160)
+                        .unwrap();
+                    let label = format!(
+                        "seed={seed} policy={policy:?} autoscale={autoscale} retry={}",
+                        retry.label()
+                    );
+                    assert!(fleet.stats.faults.deaths > 0, "{label}: deaths must fire");
+                    assert_eq!(
+                        format!("{:?}", gated.fleet),
+                        format!("{fleet:?}"),
+                        "{label}: structural fingerprint diverged"
+                    );
+                    assert_eq!(
+                        csv_line(&gated.fleet),
+                        csv_line(&fleet),
+                        "{label}: CSV rendering diverged"
+                    );
+                }
             }
         }
     }
