@@ -204,6 +204,34 @@ fn collect() -> Vec<Metric> {
         }
     }
 
+    // Layout diff: the retained boundary-sweep reference vs the merge
+    // `LayoutDiff::compute` on a Node-shaped layout (one request's churn
+    // over a ~300-VMA runtime image). A same-machine ratio like the
+    // others; the rig asserts both diffs agree before timing them.
+    let diff = gh_bench::scaling::layout_diff();
+    println!(
+        "layout diff over {} VMAs: reference {:.0} ns, merge {:.0} ns ({:.1}x)\n",
+        diff.vmas,
+        diff.legacy_ns,
+        diff.merge_ns,
+        diff.speedup()
+    );
+    out.push(Metric {
+        key: "scaling_layout_diff_speedup",
+        value: diff.speedup().min(8.0),
+        higher_is_better: true,
+    });
+    for (key, ns) in [
+        ("info_layout_diff_reference_ns", diff.legacy_ns),
+        ("info_layout_diff_merge_ns", diff.merge_ns),
+    ] {
+        out.push(Metric {
+            key,
+            value: ns,
+            higher_is_better: false,
+        });
+    }
+
     // Batched-touch scaling family: loop/batch wall-clock ratios of the
     // request executor's touch shape at a 64k-touch batch (tentpole
     // acceptance: ≥5x; capped at 8 like the other scaling ratios so the

@@ -1,5 +1,10 @@
 //! Host-side scaling measurements for the extent-based bookkeeping.
 //!
+//! Also home of the retained pre-merge layout diff ([`legacy_diff`]),
+//! the reference the diff oracle (`crates/core/tests/prop_diff.rs`)
+//! and the `scaling_layout_diff_speedup` gate ([`layout_diff`]) compare
+//! `LayoutDiff::compute` against.
+//!
 //! Measures real wall-clock (not virtual time) of the three
 //! bookkeeping-bound operations — snapshot **capture**, dirty **scan**
 //! (tracker collect) and restore **plan-build** — at 64k / 256k / 1M
@@ -21,10 +26,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use gh_mem::{FrameData, PageRange, Perms, Taint, Touch, VmaKind, Vpn};
+use gh_mem::{FrameData, PageRange, Perms, Taint, Touch, Vma, VmaKind, Vpn};
 use gh_proc::{Kernel, Pid, PtraceSession};
 use gh_sim::report::TextTable;
 use gh_sim::{ChargeModel, ScanShape};
+use groundhog_core::diff::RemapRegion;
 use groundhog_core::plan::RestorePlanner;
 use groundhog_core::snapshot::Snapshotter;
 use groundhog_core::track::{make_tracker, DirtyReport, MemoryTracker};
@@ -205,6 +211,149 @@ fn legacy_plan(
     let sorted: Vec<u64> = restore_set.into_iter().collect();
     let runs = groundhog_core::plan::group_ranges(&sorted);
     (sorted.len() as u64, runs)
+}
+
+/// The retained reference layout diff: the boundary sweep
+/// `LayoutDiff::compute` ran before it became one merge over borrowed
+/// VMA lists. Both lists are flattened to sorted `(range, attrs)`
+/// segments (cloning every kind), every segment boundary of both is
+/// collected, sorted and deduplicated, and each elementary interval
+/// looks its attributes up on both sides. The output must equal
+/// `LayoutDiff::compute`'s on every address-ordered input.
+pub fn legacy_diff(snap_vmas: &[Vma], snap_brk: Vpn, cur_vmas: &[Vma], cur_brk: Vpn) -> LayoutDiff {
+    type Attrs = (Perms, VmaKind);
+    fn segments(vmas: &[Vma]) -> Vec<(PageRange, Attrs)> {
+        let mut v: Vec<(PageRange, Attrs)> = vmas
+            .iter()
+            .filter(|m| !matches!(m.kind, VmaKind::Heap))
+            .map(|m| (m.range, (m.perms, m.kind.clone())))
+            .collect();
+        v.sort_by_key(|(r, _)| r.start.0);
+        v
+    }
+    fn attrs_at(segs: &[(PageRange, Attrs)], cursor: &mut usize, page: Vpn) -> Option<Attrs> {
+        while *cursor < segs.len() && segs[*cursor].0.end.0 <= page.0 {
+            *cursor += 1;
+        }
+        segs.get(*cursor)
+            .filter(|(r, _)| r.contains(page))
+            .map(|(_, a)| a.clone())
+    }
+    let snap = segments(snap_vmas);
+    let cur = segments(cur_vmas);
+    let mut bounds: Vec<u64> = snap
+        .iter()
+        .chain(cur.iter())
+        .flat_map(|(r, _)| [r.start.0, r.end.0])
+        .collect();
+    bounds.sort_unstable();
+    bounds.dedup();
+
+    let mut diff = LayoutDiff::default();
+    let (mut ci, mut si) = (0usize, 0usize);
+    for w in bounds.windows(2) {
+        let range = PageRange::new(Vpn(w[0]), Vpn(w[1]));
+        if range.is_empty() {
+            continue;
+        }
+        let s = attrs_at(&snap, &mut si, range.start);
+        let c = attrs_at(&cur, &mut ci, range.start);
+        match (s, c) {
+            (None, None) => {}
+            (None, Some(_)) => match diff.to_munmap.last_mut() {
+                Some(last) if last.end == range.start => last.end = range.end,
+                _ => diff.to_munmap.push(range),
+            },
+            (Some((perms, kind)), None) => match diff.to_remap.last_mut() {
+                Some(last)
+                    if last.range.end == range.start
+                        && last.perms == perms
+                        && last.kind == kind =>
+                {
+                    last.range.end = range.end
+                }
+                _ => diff.to_remap.push(RemapRegion { range, perms, kind }),
+            },
+            (Some((sp, _)), Some((cp, _))) => {
+                if sp != cp {
+                    match diff.to_mprotect.last_mut() {
+                        Some((last, lp)) if last.end == range.start && *lp == sp => {
+                            last.end = range.end
+                        }
+                        _ => diff.to_mprotect.push((range, sp)),
+                    }
+                }
+            }
+        }
+    }
+    if snap_brk != cur_brk {
+        diff.brk = Some((cur_brk, snap_brk));
+    }
+    diff
+}
+
+/// Host cost of one Node-shaped restore's layout diff: the retained
+/// reference sweep vs the merge `LayoutDiff::compute`, on the same pair
+/// of layouts.
+pub struct LayoutDiffPoint {
+    /// VMAs in the snapshot-time layout.
+    pub vmas: usize,
+    /// ns per diff, [`legacy_diff`].
+    pub legacy_ns: f64,
+    /// ns per diff, `LayoutDiff::compute`.
+    pub merge_ns: f64,
+}
+
+impl LayoutDiffPoint {
+    /// Reference / merge wall-clock ratio (same machine, same inputs).
+    pub fn speedup(&self) -> f64 {
+        self.legacy_ns / self.merge_ns.max(1.0)
+    }
+}
+
+/// Measures both diffs on a Node.js runtime image before and after one
+/// request's layout churn (the diff every Node restore computes). Each
+/// sample times a burst of diffs so the per-diff figure is well above
+/// timer resolution; best of several samples, as elsewhere here.
+pub fn layout_diff() -> LayoutDiffPoint {
+    let mut kernel = Kernel::boot();
+    let mut fproc = gh_runtime::FunctionProcess::build(
+        &mut kernel,
+        "layout-diff",
+        gh_runtime::RuntimeProfile::for_kind(gh_runtime::RuntimeKind::NodeJs),
+        4096,
+    );
+    let (snap, snap_brk) = {
+        let mem = &kernel.process(fproc.pid).unwrap().mem;
+        (mem.maps(), mem.brk())
+    };
+    fproc.churn_layout(&mut kernel);
+    let (cur, cur_brk) = {
+        let mem = &kernel.process(fproc.pid).unwrap().mem;
+        (mem.maps(), mem.brk())
+    };
+    let merge = LayoutDiff::compute(&snap, snap_brk, &cur, cur_brk);
+    let legacy = legacy_diff(&snap, snap_brk, &cur, cur_brk);
+    assert_eq!(merge.plan(), legacy.plan(), "layout diff agreement");
+    assert!(!merge.is_empty(), "the churn changed the layout");
+
+    const BURST: u32 = 64;
+    let per_diff = |f: &dyn Fn()| {
+        best_of(9, || {
+            for _ in 0..BURST {
+                f();
+            }
+        }) / f64::from(BURST)
+    };
+    LayoutDiffPoint {
+        vmas: snap.len(),
+        legacy_ns: per_diff(&|| {
+            std::hint::black_box(legacy_diff(&snap, snap_brk, &cur, cur_brk));
+        }),
+        merge_ns: per_diff(&|| {
+            std::hint::black_box(LayoutDiff::compute(&snap, snap_brk, &cur, cur_brk));
+        }),
+    }
 }
 
 /// Measures one size point.

@@ -3,8 +3,9 @@
 //! /proc/pid/maps and pagemap (e.g. grown, shrunk, merged, split,
 //! deleted, new memory regions)").
 //!
-//! The diff is computed with a boundary sweep over the two VMA lists and
-//! compiled into the syscall plan the restorer injects via ptrace.
+//! The diff is one merge over the two address-ordered VMA lists (both
+//! borrowed: the restorer diffs the live map in place) and is compiled
+//! into the syscall plan the restorer injects via ptrace.
 
 use gh_mem::{PageRange, Perms, Vma, VmaKind, Vpn};
 use gh_proc::Syscall;
@@ -33,67 +34,65 @@ pub struct LayoutDiff {
     pub brk: Option<(Vpn, Vpn)>,
 }
 
-/// One side's attributes over an elementary interval.
-type Attrs = (Perms, VmaKind);
-
-/// Flattens a VMA list (minus the heap, which `brk` owns) into sorted
-/// disjoint `(range, attrs)` segments.
-fn segments(vmas: &[Vma]) -> Vec<(PageRange, Attrs)> {
-    let mut v: Vec<(PageRange, Attrs)> = vmas
-        .iter()
-        .filter(|m| !matches!(m.kind, VmaKind::Heap))
-        .map(|m| (m.range, (m.perms, m.kind.clone())))
-        .collect();
-    v.sort_by_key(|(r, _)| r.start.0);
-    v
-}
-
-/// Attribute lookup at a point, advancing a cursor over sorted segments.
-fn attrs_at(segs: &[(PageRange, Attrs)], cursor: &mut usize, page: Vpn) -> Option<Attrs> {
-    while *cursor < segs.len() && segs[*cursor].0.end.0 <= page.0 {
-        *cursor += 1;
-    }
-    segs.get(*cursor)
-        .filter(|(r, _)| r.contains(page))
-        .map(|(_, a)| a.clone())
-}
-
 impl LayoutDiff {
     /// Computes the delta from `current` back to the snapshot layout.
-    pub fn compute(snap_vmas: &[Vma], snap_brk: Vpn, cur_vmas: &[Vma], cur_brk: Vpn) -> LayoutDiff {
-        let snap = segments(snap_vmas);
-        let cur = segments(cur_vmas);
-
-        // Boundary sweep.
-        let mut bounds: Vec<u64> = snap
-            .iter()
-            .chain(cur.iter())
-            .flat_map(|(r, _)| [r.start.0, r.end.0])
-            .collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-
+    ///
+    /// Both lists must be address-ordered and non-overlapping, as
+    /// `/proc/pid/maps` is; heap VMAs are skipped (`brk` owns the heap).
+    /// One merge walks both lists in step, cutting the address space at
+    /// every VMA boundary into intervals of constant attributes on each
+    /// side, so the cost is `O(VMAs)` with no allocation beyond the delta
+    /// itself.
+    pub fn compute<'s, 'c>(
+        snap_vmas: impl IntoIterator<Item = &'s Vma>,
+        snap_brk: Vpn,
+        cur_vmas: impl IntoIterator<Item = &'c Vma>,
+        cur_brk: Vpn,
+    ) -> LayoutDiff {
+        let not_heap = |v: &&Vma| !matches!(v.kind, VmaKind::Heap);
+        let mut snap = snap_vmas.into_iter().filter(not_heap).peekable();
+        let mut cur = cur_vmas.into_iter().filter(not_heap).peekable();
         let mut diff = LayoutDiff::default();
-        let (mut ci, mut si) = (0usize, 0usize);
-        for w in bounds.windows(2) {
-            let range = PageRange::new(Vpn(w[0]), Vpn(w[1]));
-            if range.is_empty() {
-                continue;
+        // Everything below `pos` is diffed.
+        let mut pos = 0u64;
+        loop {
+            while snap.next_if(|v| v.range.end.0 <= pos).is_some() {}
+            while cur.next_if(|v| v.range.end.0 <= pos).is_some() {}
+            let (s, c) = (snap.peek().copied(), cur.peek().copied());
+            // The next interval starts at `pos` or at the first segment
+            // start above it; a head covers it iff it starts by then.
+            let start = match (s, c) {
+                (None, None) => break,
+                (Some(v), None) | (None, Some(v)) => v.range.start.0,
+                (Some(a), Some(b)) => a.range.start.0.min(b.range.start.0),
             }
-            let s = attrs_at(&snap, &mut si, range.start);
-            let c = attrs_at(&cur, &mut ci, range.start);
-            match (s, c) {
-                (None, None) => {}
+            .max(pos);
+            let s_in = s.filter(|v| v.range.start.0 <= start);
+            let c_in = c.filter(|v| v.range.start.0 <= start);
+            // It ends at the first boundary above `start`: a covering
+            // head's end or a waiting head's start.
+            let edge = |v: Option<&Vma>| {
+                v.map_or(u64::MAX, |v| {
+                    if v.range.start.0 <= start {
+                        v.range.end.0
+                    } else {
+                        v.range.start.0
+                    }
+                })
+            };
+            let end = edge(s).min(edge(c));
+            let range = PageRange::new(Vpn(start), Vpn(end));
+            match (s_in, c_in) {
+                (None, None) => unreachable!("a head covers the interval start"),
                 (None, Some(_)) => push_coalesced(&mut diff.to_munmap, range),
-                (Some((perms, kind)), None) => {
-                    push_remap(&mut diff.to_remap, RemapRegion { range, perms, kind })
-                }
-                (Some((sp, _)), Some((cp, _))) => {
-                    if sp != cp {
-                        push_protect(&mut diff.to_mprotect, range, sp);
+                (Some(sv), None) => push_remap(&mut diff.to_remap, range, sv.perms, &sv.kind),
+                (Some(sv), Some(cv)) => {
+                    if sv.perms != cv.perms {
+                        push_protect(&mut diff.to_mprotect, range, sv.perms);
                     }
                 }
             }
+            pos = end;
         }
 
         if snap_brk != cur_brk {
@@ -157,14 +156,18 @@ fn push_coalesced(v: &mut Vec<PageRange>, r: PageRange) {
     v.push(r);
 }
 
-fn push_remap(v: &mut Vec<RemapRegion>, r: RemapRegion) {
+fn push_remap(v: &mut Vec<RemapRegion>, range: PageRange, perms: Perms, kind: &VmaKind) {
     if let Some(last) = v.last_mut() {
-        if last.range.end == r.range.start && last.perms == r.perms && last.kind == r.kind {
-            last.range.end = r.range.end;
+        if last.range.end == range.start && last.perms == perms && last.kind == *kind {
+            last.range.end = range.end;
             return;
         }
     }
-    v.push(r);
+    v.push(RemapRegion {
+        range,
+        perms,
+        kind: kind.clone(),
+    });
 }
 
 fn push_protect(v: &mut Vec<(PageRange, Perms)>, r: PageRange, p: Perms) {

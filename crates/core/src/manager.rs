@@ -263,7 +263,14 @@ impl Manager {
             }
         };
         self.state = ManagerState::Executing;
-        self.last_principal = Some(principal.to_string());
+        // Reuse the buffer: admission runs once per request.
+        match &mut self.last_principal {
+            Some(last) => {
+                last.clear();
+                last.push_str(principal);
+            }
+            None => self.last_principal = Some(principal.to_owned()),
+        }
         self.stats.requests += 1;
         Ok(admission)
     }

@@ -19,6 +19,15 @@
 //!                      └──▶ detach ──▶ RestoreReport + Breakdown
 //! ```
 //!
+//! Host-side, no pass re-derives whole-process state per request: the
+//! maps are read in place and the diff merges the snapshot's VMA list
+//! with the live, borrowed one; madvise evicts whole ranges; the
+//! writeback resolves its restore set under one pool-store lock and
+//! lands every run in one page-table walk with one extent edit fold,
+//! moving each resolved page into its frame; the re-arm is one bulk
+//! extent rebuild. Each charge still uses the counts the paper's
+//! implementation pays for (VMAs read, pages scanned and copied).
+//!
 //! Every pass is timed against the virtual clock into the Fig. 8
 //! [`Breakdown`]. With `restore_lanes = 1` the executor charges exactly
 //! what the paper's serial implementation would — the breakdown and
@@ -26,7 +35,7 @@
 //! by `tests/prop_plan.rs`). With more lanes, only the page-writeback
 //! pass parallelizes; the ptrace-serialized passes stay serial.
 
-use gh_mem::Taint;
+use gh_mem::{PageRange, Taint};
 use gh_proc::{Kernel, Pid, PtraceSession};
 use gh_sim::clock::Stopwatch;
 use gh_sim::Nanos;
@@ -85,19 +94,24 @@ impl Restorer {
         s.interrupt_all()?;
         bd.add(RestorePhase::Interrupting, sw.lap());
 
-        let cur_maps = s.read_maps()?;
+        // The layout is read in place: the diff below borrows the live
+        // VMA map rather than a copy of it.
+        let cur_vmas = s.read_maps_in_place()?;
         bd.add(RestorePhase::ReadingMaps, sw.lap());
 
         let dirty_report = tracker.collect(&mut s)?;
         bd.add(RestorePhase::ScanningPageMetadata, sw.lap());
 
-        let cur_brk = s.kernel().process(pid)?.mem.brk();
-        let diff =
-            crate::diff::LayoutDiff::compute(&snapshot.vmas, snapshot.brk, &cur_maps, cur_brk);
-        let diff_cost = s
-            .kernel()
-            .cost
-            .diff_cost(cur_maps.len() + snapshot.vmas.len());
+        let diff = {
+            let mem = &s.kernel().process(pid)?.mem;
+            crate::diff::LayoutDiff::compute(
+                &snapshot.vmas,
+                snapshot.brk,
+                mem.vmas_iter(),
+                mem.brk(),
+            )
+        };
+        let diff_cost = s.kernel().cost.diff_cost(cur_vmas + snapshot.vmas.len());
         s.kernel().charge(diff_cost);
         bd.add(RestorePhase::DiffingMemoryLayouts, sw.lap());
 
@@ -146,10 +160,8 @@ impl Restorer {
                     }
                 }
                 RestorePass::Madvise { evict } => {
-                    for range in evict {
-                        for vpn in range.iter() {
-                            s.evict_page(vpn)?;
-                        }
+                    for &range in evict {
+                        s.evict_range(range)?;
                     }
                     let pages: u64 = evict.iter().map(|r| r.len()).sum();
                     let cost = s.kernel().cost.syscall_inject * evict.len() as u64
@@ -168,18 +180,16 @@ impl Restorer {
                     s.kernel().charge(cost);
                 }
                 RestorePass::PageWriteback { lanes, coalesce } => {
-                    // One scratch buffer reused across every run of every
-                    // lane: no per-run Vec churn, one store lock per
-                    // coalesced run — and the whole run lands through one
-                    // batched `write_run` (one page-table walk per run)
-                    // instead of a probe-and-splice per page.
-                    let mut scratch: Vec<gh_mem::FrameData> = Vec::new();
-                    for lane in lanes {
-                        for run in &lane.runs {
-                            snapshot.run_data_into(*run, s.kernel().frames(), &mut scratch);
-                            s.write_run(*run, &scratch, Taint::Clean)?;
-                        }
-                    }
+                    // The lanes partition one address-ordered run list.
+                    // The whole restore set is resolved under one store
+                    // lock and lands in one multi-run page-table walk with
+                    // one extent edit fold, each resolved page moved into
+                    // its frame.
+                    let runs: Vec<PageRange> =
+                        lanes.iter().flat_map(|l| l.runs.iter().copied()).collect();
+                    let mut data = Vec::new();
+                    snapshot.runs_data_into(&runs, s.kernel().frames(), &mut data);
+                    s.write_runs(&runs, data, Taint::Clean)?;
                     let lane_costs: Vec<(u64, u64)> = lanes
                         .iter()
                         .map(|l| (l.pages(), l.runs.len() as u64))
@@ -224,8 +234,12 @@ pub fn verify_matches_snapshot(
 ) -> Result<(), String> {
     let proc = kernel.process(pid).map_err(|e| e.to_string())?;
     // Layout.
-    let cur = proc.mem.maps();
-    let d = crate::diff::LayoutDiff::compute(&snapshot.vmas, snapshot.brk, &cur, proc.mem.brk());
+    let d = crate::diff::LayoutDiff::compute(
+        &snapshot.vmas,
+        snapshot.brk,
+        proc.mem.vmas_iter(),
+        proc.mem.brk(),
+    );
     if !d.is_empty() {
         return Err(format!("layout differs: {d:?}"));
     }

@@ -150,30 +150,37 @@ impl Snapshot {
         }
     }
 
-    /// Resolves the saved contents of every page of `range` into
-    /// `out` (cleared first) — the restorer's writeback resolves whole
-    /// coalesced runs through here with one reusable scratch buffer and,
-    /// for shared snapshots, one pool-store lock per run.
+    /// Resolves the saved contents of every page of `runs` into `out`
+    /// (cleared first), concatenated in run order — the restorer's
+    /// writeback resolves its whole restore set through here: one
+    /// captured-run lookup per run and, for shared snapshots, one
+    /// pool-store lock for all of it.
     ///
     /// # Panics
     ///
-    /// Panics if any page of `range` was not captured (the restore set
-    /// is a subset of the snapshot by construction).
-    pub fn run_data_into(&self, range: PageRange, frames: &FrameTable, out: &mut Vec<FrameData>) {
+    /// Panics if any page of `runs` was not captured (the restore set is
+    /// a subset of the snapshot by construction).
+    pub fn runs_data_into(
+        &self,
+        runs: &[PageRange],
+        frames: &FrameTable,
+        out: &mut Vec<FrameData>,
+    ) {
         out.clear();
+        fn ids(r: &FrameRuns, range: PageRange) -> &[gh_mem::FrameId] {
+            r.run_frames(range).expect("restore set ⊆ snapshot")
+        }
         match &self.pages {
             SnapshotPages::Eager(r) | SnapshotPages::Cow(r) => {
-                out.extend(range.iter().map(|v| {
-                    let id = r.get(v).expect("restore set ⊆ snapshot");
-                    frames.data(id).clone()
-                }));
+                for &range in runs {
+                    out.extend(ids(r, range).iter().map(|&id| frames.data(id).clone()));
+                }
             }
             SnapshotPages::Shared { store, pages } => {
                 let st = store.lock().expect("store poisoned");
-                out.extend(range.iter().map(|v| {
-                    let id = pages.get(v).expect("restore set ⊆ snapshot");
-                    st.data(id).clone()
-                }));
+                for &range in runs {
+                    out.extend(ids(pages, range).iter().map(|&id| st.data(id).clone()));
+                }
             }
         }
     }

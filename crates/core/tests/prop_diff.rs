@@ -122,3 +122,126 @@ fn plan_restores_any_churned_layout() {
         assert!(re.is_empty(), "case {case}: re-diff not empty: {re:?}");
     }
 }
+
+use gh_bench::scaling::legacy_diff;
+use gh_mem::{Vma, VmaKind};
+
+/// A random address-ordered, non-overlapping VMA list over a small
+/// window: touching and gapped neighbours, every kind (heap included,
+/// which the diff must skip), several permission sets.
+fn random_layout(rng: &mut DetRng) -> Vec<Vma> {
+    let mut out = Vec::new();
+    let mut at = rng.next_below(8);
+    while at < 360 {
+        let len = 1 + rng.next_below(24);
+        out.push(Vma::new(
+            PageRange::at(Vpn(at), len),
+            random_perms(rng),
+            random_kind(rng),
+        ));
+        at += len
+            + if rng.next_below(2) == 0 {
+                0
+            } else {
+                rng.next_below(12)
+            };
+    }
+    out
+}
+
+fn random_perms(rng: &mut DetRng) -> Perms {
+    [Perms::RW, Perms::R, Perms::RX, Perms::NONE][rng.next_below(4) as usize]
+}
+
+fn random_kind(rng: &mut DetRng) -> VmaKind {
+    match rng.next_below(7) {
+        0 => VmaKind::Heap,
+        1 => VmaKind::Stack,
+        2 => VmaKind::Guard,
+        3 => VmaKind::File("liba.so".into()),
+        4 => VmaKind::File("libb.so".into()),
+        _ => VmaKind::Anon,
+    }
+}
+
+/// `layout` after one request's worth of churn: regions dropped, split,
+/// shrunk, re-protected or re-kinded, and new ones mapped into gaps.
+fn churned(layout: &[Vma], rng: &mut DetRng) -> Vec<Vma> {
+    let mut out: Vec<Vma> = Vec::new();
+    for v in layout {
+        let (s, e) = (v.range.start.0, v.range.end.0);
+        match rng.next_below(8) {
+            0 => {} // unmapped
+            1 if e - s > 1 => {
+                // Split, the upper part re-protected.
+                let mid = s + 1 + rng.next_below(e - s - 1);
+                out.push(Vma::new(
+                    PageRange::new(Vpn(s), Vpn(mid)),
+                    v.perms,
+                    v.kind.clone(),
+                ));
+                out.push(Vma::new(
+                    PageRange::new(Vpn(mid), Vpn(e)),
+                    random_perms(rng),
+                    v.kind.clone(),
+                ));
+            }
+            2 if e - s > 1 => {
+                let cut = 1 + rng.next_below(e - s - 1);
+                out.push(Vma::new(
+                    PageRange::new(Vpn(s), Vpn(e - cut)),
+                    v.perms,
+                    v.kind.clone(),
+                ));
+            }
+            3 => out.push(Vma::new(v.range, random_perms(rng), v.kind.clone())),
+            4 => out.push(Vma::new(v.range, v.perms, random_kind(rng))),
+            _ => out.push(v.clone()),
+        }
+    }
+    // New mappings in the gaps (touching their neighbours or not).
+    let mut with_new: Vec<Vma> = Vec::new();
+    let mut prev_end = 0u64;
+    for v in out {
+        if v.range.start.0 > prev_end && rng.next_below(3) == 0 {
+            let room = v.range.start.0 - prev_end;
+            let start = prev_end + rng.next_below(room);
+            let len = 1 + rng.next_below(v.range.start.0 - start);
+            with_new.push(Vma::new(
+                PageRange::at(Vpn(start), len),
+                random_perms(rng),
+                random_kind(rng),
+            ));
+        }
+        prev_end = v.range.end.0;
+        with_new.push(v);
+    }
+    with_new
+}
+
+/// Diff oracle: the merge `LayoutDiff::compute` (fed borrowed iterators,
+/// as the restorer does) equals the retained boundary sweep
+/// `gh_bench::scaling::legacy_diff` on random layout pairs — every
+/// delta list, the `brk` delta, and the compiled syscall plan.
+#[test]
+fn merge_diff_equals_the_reference_sweep() {
+    for case in 0..2000u64 {
+        let mut rng = DetRng::new(0xD1FF_0AC1 ^ case);
+        let snap = random_layout(&mut rng);
+        let cur = if rng.next_below(3) == 0 {
+            random_layout(&mut rng)
+        } else {
+            churned(&snap, &mut rng)
+        };
+        let (snap_brk, cur_brk) = (Vpn(rng.next_below(4)), Vpn(rng.next_below(4)));
+        let merge = LayoutDiff::compute(snap.iter(), snap_brk, cur.iter(), cur_brk);
+        let reference = legacy_diff(&snap, snap_brk, &cur, cur_brk);
+        let ctx = format!("case {case}");
+        assert_eq!(merge.to_munmap, reference.to_munmap, "{ctx}: munmaps");
+        assert_eq!(merge.to_remap, reference.to_remap, "{ctx}: remaps");
+        assert_eq!(merge.to_mprotect, reference.to_mprotect, "{ctx}: mprotects");
+        assert_eq!(merge.brk, reference.brk, "{ctx}: brk");
+        assert_eq!(merge.plan(), reference.plan(), "{ctx}: plan");
+        assert_eq!(merge.syscall_count(), reference.syscall_count(), "{ctx}");
+    }
+}

@@ -332,29 +332,15 @@ impl PageTable {
     }
 
     /// Applies `f` to every extent's flags, then restores maximality by
-    /// merging adjacent equal-flag extents. `O(extents)`.
+    /// merging adjacent equal-flag extents. `O(extents)`: the merged runs
+    /// come out sorted, so the new map is bulk-built bottom-up instead of
+    /// one insert at a time.
     pub fn transform_flags(&mut self, mut f: impl FnMut(PteFlags) -> PteFlags) {
-        let old = std::mem::take(&mut self.extents);
-        let mut rebuilt: BTreeMap<u64, ExtentMeta> = BTreeMap::new();
-        let mut last: Option<(u64, ExtentMeta)> = None;
-        for (start, mut meta) in old {
-            meta.flags = f(meta.flags);
-            match &mut last {
-                Some((ls, lm)) if *ls + lm.len == start && lm.flags == meta.flags => {
-                    lm.len += meta.len;
-                }
-                _ => {
-                    if let Some((ls, lm)) = last.take() {
-                        rebuilt.insert(ls, lm);
-                    }
-                    last = Some((start, meta));
-                }
-            }
+        let mut merged = RunBuilder::default();
+        for (start, meta) in std::mem::take(&mut self.extents) {
+            merged.push(start, meta.len, f(meta.flags));
         }
-        if let Some((ls, lm)) = last {
-            rebuilt.insert(ls, lm);
-        }
-        self.extents = rebuilt;
+        self.extents = merged.runs.into_iter().collect();
     }
 
     /// Iterates `(range, flags)` extents in address order.
@@ -572,28 +558,34 @@ impl PageTable {
         Self::apply_edit_runs(extents, edits.runs);
     }
 
-    /// One ordered walk resolving every page of a *contiguous* range —
+    /// One ordered walk resolving every page of sorted, disjoint `runs` —
     /// the run-granular restore path ([`touch_walk`]'s simpler sibling:
     /// no duplicate handling, no `TouchItem` batch to materialize).
     ///
-    /// For every page of `range`, ascending, `decide` sees the page's
-    /// offset within the range and its current `(frame, flags)` (`None`
-    /// when absent) and returns a [`BatchDecision`]. Costs one chunk
-    /// probe per 512-page window and one extent edit fold for the whole
-    /// run, instead of a `BTreeMap` probe-and-splice per page; state
-    /// outcomes are identical to applying the decisions page-at-a-time.
+    /// For every page, ascending, `decide` sees the page's current
+    /// `(frame, flags)` (`None` when absent) and returns a
+    /// [`BatchDecision`]. One forward extent cursor serves every run, the
+    /// frame chunks are probed once per touched 512-page window (runs
+    /// sharing a window share the probe), and one extent edit fold lands
+    /// all runs' flag edits — instead of a `BTreeMap` probe-and-splice
+    /// per page. State outcomes are identical to applying the decisions
+    /// page-at-a-time (runs are disjoint, so no run's decisions see
+    /// another's edits).
     ///
     /// [`touch_walk`]: PageTable::touch_walk
     pub(crate) fn restore_walk(
         &mut self,
-        range: PageRange,
-        mut decide: impl FnMut(u64, Option<(FrameId, PteFlags)>) -> BatchDecision,
+        runs: &[PageRange],
+        mut decide: impl FnMut(Option<(FrameId, PteFlags)>) -> BatchDecision,
     ) {
-        if range.is_empty() {
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].end.0 <= w[1].start.0),
+            "restore_walk requires sorted, disjoint runs"
+        );
+        let mut runs = runs.iter().filter(|r| !r.is_empty()).peekable();
+        let Some(first) = runs.peek() else {
             return;
-        }
-        let (lo, hi) = (range.start.0, range.end.0);
-
+        };
         let PageTable {
             extents,
             chunks,
@@ -603,69 +595,86 @@ impl PageTable {
         // Phase 1: forward extent cursor + per-window chunk probe, as in
         // `touch_walk` phase 1 (see there for the cursor invariants).
         let seed = extents
-            .range(..=lo)
+            .range(..=first.start.0)
             .next_back()
-            .map(|(&s, _)| s)
-            .unwrap_or(lo);
+            .map_or(first.start.0, |(&s, _)| s);
         let mut ext_iter = extents.range(seed..).peekable();
         let mut cur_ext: Option<(u64, u64, PteFlags)> = None;
         let mut edits = RunBuilder::default();
-
-        let mut vpn = lo;
-        while vpn < hi {
+        // The page being resolved and the end of its run.
+        let (mut vpn, mut hi) = runs.next().map(|r| (r.start.0, r.end.0)).expect("peeked");
+        'windows: loop {
             let key = vpn / CHUNK_PAGES;
-            let w_hi = ((key + 1) * CHUNK_PAGES).min(hi);
             let existed = chunks.contains_key(&key);
             let chunk = chunks.entry(key).or_insert_with(Chunk::new);
-            while vpn < w_hi {
-                let slot = (vpn % CHUNK_PAGES) as usize;
-                let flags = match cur_ext {
-                    Some((s, e, f)) if vpn >= s && vpn < e => Some(f),
-                    _ => {
-                        while let Some(&(&s, m)) = ext_iter.peek() {
-                            if s <= vpn {
-                                cur_ext = Some((s, s + m.len, m.flags));
-                                ext_iter.next();
-                            } else {
-                                break;
+            loop {
+                let w_hi = ((key + 1) * CHUNK_PAGES).min(hi);
+                while vpn < w_hi {
+                    let slot = (vpn % CHUNK_PAGES) as usize;
+                    let flags = match cur_ext {
+                        Some((s, e, f)) if vpn >= s && vpn < e => Some(f),
+                        _ => {
+                            while let Some(&(&s, m)) = ext_iter.peek() {
+                                if s <= vpn {
+                                    cur_ext = Some((s, s + m.len, m.flags));
+                                    ext_iter.next();
+                                } else {
+                                    break;
+                                }
                             }
+                            cur_ext
+                                .filter(|&(s, e, _)| vpn >= s && vpn < e)
+                                .map(|(_, _, f)| f)
                         }
-                        cur_ext
-                            .filter(|&(s, e, _)| vpn >= s && vpn < e)
-                            .map(|(_, _, f)| f)
-                    }
-                };
-                let cur = flags.map(|f| (chunk.frames[slot], f));
-                match decide(vpn - lo, cur) {
-                    BatchDecision::Skip => {}
-                    BatchDecision::Insert { frame, flags } => {
-                        debug_assert!(cur.is_none(), "Insert over a present page");
-                        chunk.frames[slot] = frame;
-                        chunk.used += 1;
-                        *present += 1;
-                        edits.push(vpn, 1, flags);
-                    }
-                    BatchDecision::Update { frame, flags } => {
-                        let (old_frame, old_flags) = cur.expect("Update on an absent page");
-                        if let Some(f) = frame {
-                            if f != old_frame {
-                                chunk.frames[slot] = f;
-                            }
-                        }
-                        if flags != old_flags {
+                    };
+                    let cur = flags.map(|f| (chunk.frames[slot], f));
+                    match decide(cur) {
+                        BatchDecision::Skip => {}
+                        BatchDecision::Insert { frame, flags } => {
+                            debug_assert!(cur.is_none(), "Insert over a present page");
+                            chunk.frames[slot] = frame;
+                            chunk.used += 1;
+                            *present += 1;
                             edits.push(vpn, 1, flags);
                         }
+                        BatchDecision::Update { frame, flags } => {
+                            let (old_frame, old_flags) = cur.expect("Update on an absent page");
+                            if let Some(f) = frame {
+                                if f != old_frame {
+                                    chunk.frames[slot] = f;
+                                }
+                            }
+                            if flags != old_flags {
+                                edits.push(vpn, 1, flags);
+                            }
+                        }
                     }
+                    vpn += 1;
                 }
-                vpn += 1;
-            }
-            if chunk.used == 0 && !existed {
-                chunks.remove(&key);
+                // Next page: the rest of this run (a new window), or the
+                // next run — in this window if it starts there.
+                let done = vpn == hi
+                    && match runs.next() {
+                        Some(r) => {
+                            (vpn, hi) = (r.start.0, r.end.0);
+                            false
+                        }
+                        None => true,
+                    };
+                if done || vpn / CHUNK_PAGES != key {
+                    if chunk.used == 0 && !existed {
+                        chunks.remove(&key);
+                    }
+                    if done {
+                        break 'windows;
+                    }
+                    continue 'windows;
+                }
             }
         }
         drop(ext_iter);
 
-        // Phase 2: fold the edits back into the extent map.
+        // Phase 2: fold every run's edits back into the extent map at once.
         if edits.runs.is_empty() {
             return;
         }

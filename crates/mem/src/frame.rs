@@ -277,6 +277,16 @@ impl FrameRuns {
         frames.get((vpn.0 - start.0) as usize).copied()
     }
 
+    /// The frames of `range`, when one run covers it whole (`O(log
+    /// runs)`). Captures are maximal present runs, so any contiguous
+    /// range of captured pages lies in one run.
+    pub fn run_frames(&self, range: PageRange) -> Option<&[FrameId]> {
+        let i = self.runs.partition_point(|(s, _)| s.0 <= range.start.0);
+        let (start, frames) = self.runs.get(i.checked_sub(1)?)?;
+        let lo = (range.start.0 - start.0) as usize;
+        frames.get(lo..lo + range.len() as usize)
+    }
+
     /// True when `vpn` was captured.
     pub fn contains(&self, vpn: Vpn) -> bool {
         self.get(vpn).is_some()

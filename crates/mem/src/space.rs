@@ -4,7 +4,9 @@
 //! manager drives from user space:
 //!
 //! - `mmap` / `munmap` / `mprotect` / `brk` / `madvise(DONTNEED)` with VMA
-//!   splitting and merging;
+//!   splitting and merging; `mmap(NULL)` places top-down like a walk
+//!   from `mmap_top`, but starts at a free-gap hint, so a runtime's
+//!   per-request arena churn does not walk every VMA;
 //! - demand paging with a shared zero frame, copy-on-write after `fork`,
 //!   soft-dirty tracking with write-protect arming (`clear_refs`), and an
 //!   optional userfaultfd write-protect mode;
@@ -222,12 +224,31 @@ impl LazyPageSource {
     }
 }
 
+/// Where [`AddressSpace::find_free`]'s top-down search may start.
+///
+/// Invariant: `floor` is `mmap_top` or lies inside some VMA, and every
+/// free gap whose top is above `floor` (and at most `mmap_top`) is
+/// shorter than `min_len` pages. A search for `len >= min_len` pages can
+/// then skip everything above `floor` and still return the address of
+/// the walk from `mmap_top`.
+#[derive(Clone, Copy, Debug)]
+struct FreeHint {
+    floor: u64,
+    min_len: u64,
+}
+
 /// A process's virtual address space.
 #[derive(Debug)]
 pub struct AddressSpace {
     cfg: SpaceConfig,
     /// VMAs keyed by start vpn; invariant: non-overlapping, each non-empty.
+    /// Mutated only through `vma_insert` / `vma_remove`, which keep
+    /// `mapped` in step.
     vmas: BTreeMap<u64, Vma>,
+    /// Pages covered by VMAs (Σ VMA lengths).
+    mapped: u64,
+    /// Free-gap hint of `find_free`.
+    free_hint: FreeHint,
     /// Extent-based page table; invariant: every present page lies in a VMA.
     pt: PageTable,
     /// Soft-dirty index; invariant: bit set ⇔ present page with
@@ -263,15 +284,15 @@ impl AddressSpace {
     /// Creates an address space with an empty heap and an initial stack.
     pub fn new(cfg: SpaceConfig, frames: &mut FrameTable) -> AddressSpace {
         let _ = frames; // reserved for future eager mappings
-        let mut vmas = BTreeMap::new();
         let stack_range = PageRange::new(Vpn(cfg.stack_top.0 - cfg.stack_pages), cfg.stack_top);
-        vmas.insert(
-            stack_range.start.0,
-            Vma::new(stack_range, Perms::RW, VmaKind::Stack),
-        );
-        AddressSpace {
+        let mut space = AddressSpace {
             cfg,
-            vmas,
+            vmas: BTreeMap::new(),
+            mapped: 0,
+            free_hint: FreeHint {
+                floor: cfg.mmap_top.0,
+                min_len: 0,
+            },
             pt: PageTable::new(),
             dirty: VpnIndex::new(),
             tainted: VpnIndex::new(),
@@ -281,7 +302,9 @@ impl AddressSpace {
             uffd_log: VpnIndex::new(),
             lazy_pending: BTreeMap::new(),
             lazy_dropped: 0,
-        }
+        };
+        space.vma_insert(Vma::new(stack_range, Perms::RW, VmaKind::Stack));
+        space
     }
 
     /// The geometry this space was created with.
@@ -327,9 +350,9 @@ impl AddressSpace {
         self.vmas.len()
     }
 
-    /// Total pages covered by VMAs.
+    /// Total pages covered by VMAs. `O(1)`: a running count.
     pub fn mapped_pages(&self) -> u64 {
-        self.vmas.values().map(|v| v.range.len()).sum()
+        self.mapped
     }
 
     /// Pages with a present PTE (the RSS).
@@ -361,25 +384,78 @@ impl AddressSpace {
     // Mapping syscalls
     // ---------------------------------------------------------------
 
-    /// Finds a free region of `len` pages below `mmap_top`, top-down.
-    fn find_free(&self, len: u64) -> Option<PageRange> {
+    /// Finds a free region of `len` pages below `mmap_top`, top-down: the
+    /// top of the highest free gap that fits. Also returns the
+    /// `min_len` of the hint valid once the region is mapped (every gap
+    /// above the region is shorter than it).
+    ///
+    /// When `len` is at least the hint's `min_len`, the walk starts at the
+    /// hint's floor instead of `mmap_top`: every gap above the floor is
+    /// too short, and the floor lies inside a VMA, so the walk reaches it
+    /// in the same state and returns the same address. A run of
+    /// same-size mmaps thus costs `O(log VMAs + VMAs below the floor)`
+    /// each instead of a walk over every VMA above it.
+    fn find_free(&self, len: u64) -> Option<(PageRange, u64)> {
         if len == 0 {
             return None;
         }
-        let mut ceiling = self.cfg.mmap_top.0;
-        // Walk VMAs downward from mmap_top.
-        for (_, vma) in self.vmas.range(..self.cfg.mmap_top.0).rev() {
+        let hint = self.free_hint;
+        let (mut ceiling, mut short) = if len >= hint.min_len {
+            (hint.floor, hint.min_len)
+        } else {
+            (self.cfg.mmap_top.0, 0)
+        };
+        for (_, vma) in self.vmas.range(..ceiling).rev() {
             let gap_start = vma.range.end.0;
-            if gap_start < ceiling && ceiling - gap_start >= len {
-                return Some(PageRange::new(Vpn(ceiling - len), Vpn(ceiling)));
+            if gap_start < ceiling {
+                let gap = ceiling - gap_start;
+                if gap >= len {
+                    return Some((PageRange::new(Vpn(ceiling - len), Vpn(ceiling)), short));
+                }
+                short = short.max(gap + 1);
             }
             ceiling = ceiling.min(vma.range.start.0);
         }
-        if ceiling >= len {
-            Some(PageRange::new(Vpn(ceiling - len), Vpn(ceiling)))
-        } else {
-            None
-        }
+        (ceiling >= len).then(|| (PageRange::new(Vpn(ceiling - len), Vpn(ceiling)), short))
+    }
+
+    /// Raises the free-gap hint's floor over `range`, whose mappings were
+    /// just dropped: the gap this opened or widened tops out at the next
+    /// VMA start at or above `range.end` (or `mmap_top`), and every gap
+    /// above that is unchanged.
+    fn raise_free_floor(&mut self, range: PageRange) {
+        let top = self.cfg.mmap_top.0;
+        let ceiling = self
+            .vmas
+            .range(range.end.0..)
+            .next()
+            .map_or(top, |(&s, _)| s.min(top));
+        self.free_hint.floor = self.free_hint.floor.max(ceiling);
+    }
+
+    fn vma_insert(&mut self, vma: Vma) {
+        self.mapped += vma.range.len();
+        let old = self.vmas.insert(vma.range.start.0, vma);
+        debug_assert!(old.is_none(), "vma key collision");
+    }
+
+    fn vma_remove(&mut self, start: u64) -> Vma {
+        let vma = self.vmas.remove(&start).expect("vma key");
+        self.mapped -= vma.range.len();
+        vma
+    }
+
+    /// Start keys of the VMAs overlapping `range`, ascending: the
+    /// predecessor lapping into it plus those starting inside it.
+    fn overlapping_keys(&self, range: PageRange) -> Vec<u64> {
+        self.vmas
+            .range(..range.start.0)
+            .next_back()
+            .filter(|(_, v)| v.range.end.0 > range.start.0)
+            .into_iter()
+            .chain(self.vmas.range(range.start.0..range.end.0))
+            .map(|(&s, _)| s)
+            .collect()
     }
 
     /// `mmap(NULL, len, ...)`: maps `len` pages at a kernel-chosen address.
@@ -389,8 +465,12 @@ impl AddressSpace {
         perms: Perms,
         kind: VmaKind,
     ) -> Result<PageRange, AccessError> {
-        let range = self.find_free(len).ok_or(AccessError::BadRange)?;
+        let (range, min_len) = self.find_free(len).ok_or(AccessError::BadRange)?;
         self.insert_vma(Vma::new(range, perms, kind));
+        self.free_hint = FreeHint {
+            floor: range.start.0,
+            min_len,
+        };
         Ok(range)
     }
 
@@ -426,17 +506,17 @@ impl AddressSpace {
         if let Some((&start, prev)) = self.vmas.range(..vma.range.start.0).next_back() {
             if prev.range.end == vma.range.start && prev.can_merge_with(&vma) {
                 vma.range.start = prev.range.start;
-                self.vmas.remove(&start);
+                self.vma_remove(start);
             }
         }
         // Merge with successor.
         if let Some((&start, next)) = self.vmas.range(vma.range.end.0..).next() {
             if next.range.start == vma.range.end && vma.can_merge_with(next) {
                 vma.range.end = next.range.end;
-                self.vmas.remove(&start);
+                self.vma_remove(start);
             }
         }
-        self.vmas.insert(vma.range.start.0, vma);
+        self.vma_insert(vma);
     }
 
     /// `munmap(range)`: removes all mappings in `range`, splitting VMAs
@@ -445,31 +525,27 @@ impl AddressSpace {
         if range.is_empty() {
             return Err(AccessError::BadRange);
         }
-        // Collect affected VMAs.
-        let affected: Vec<u64> = self
-            .vmas
-            .range(..range.end.0)
-            .filter(|(_, v)| v.range.overlaps(range))
-            .map(|(&s, _)| s)
-            .collect();
-        for start in affected {
-            let vma = self.vmas.remove(&start).expect("collected key");
+        for start in self.overlapping_keys(range) {
+            let vma = self.vma_remove(start);
             let cut = vma.range.intersect(range);
             // Left remainder.
             if vma.range.start.0 < cut.start.0 {
-                let left = Vma::new(
+                self.vma_insert(Vma::new(
                     PageRange::new(vma.range.start, cut.start),
                     vma.perms,
                     vma.kind.clone(),
-                );
-                self.vmas.insert(left.range.start.0, left);
+                ));
             }
             // Right remainder.
             if cut.end.0 < vma.range.end.0 {
-                let right = Vma::new(PageRange::new(cut.end, vma.range.end), vma.perms, vma.kind);
-                self.vmas.insert(right.range.start.0, right);
+                self.vma_insert(Vma::new(
+                    PageRange::new(cut.end, vma.range.end),
+                    vma.perms,
+                    vma.kind,
+                ));
             }
         }
+        self.raise_free_floor(range);
         self.drop_pages_in(range, frames);
         Ok(())
     }
@@ -485,40 +561,43 @@ impl AddressSpace {
             let vma = self.vma_at(cursor).ok_or(AccessError::Unmapped(cursor))?;
             cursor = vma.range.end;
         }
-        let affected: Vec<u64> = self
-            .vmas
-            .range(..range.end.0)
-            .filter(|(_, v)| v.range.overlaps(range))
-            .map(|(&s, _)| s)
-            .collect();
         // Remove every affected VMA before inserting pieces: `insert_vma`
         // may merge a piece with an adjacent affected VMA, which would
         // invalidate keys still pending in the loop.
-        let removed: Vec<Vma> = affected
-            .iter()
-            .map(|s| self.vmas.remove(s).expect("collected key"))
+        let removed: Vec<Vma> = self
+            .overlapping_keys(range)
+            .into_iter()
+            .map(|s| self.vma_remove(s))
             .collect();
         for vma in removed {
             let cut = vma.range.intersect(range);
             if vma.range.start.0 < cut.start.0 {
-                self.vmas.insert(
-                    vma.range.start.0,
-                    Vma::new(
-                        PageRange::new(vma.range.start, cut.start),
-                        vma.perms,
-                        vma.kind.clone(),
-                    ),
-                );
+                self.vma_insert(Vma::new(
+                    PageRange::new(vma.range.start, cut.start),
+                    vma.perms,
+                    vma.kind.clone(),
+                ));
             }
             self.insert_vma(Vma::new(cut, perms, vma.kind.clone()));
             if cut.end.0 < vma.range.end.0 {
-                self.vmas.insert(
-                    cut.end.0,
-                    Vma::new(PageRange::new(cut.end, vma.range.end), vma.perms, vma.kind),
-                );
+                self.vma_insert(Vma::new(
+                    PageRange::new(cut.end, vma.range.end),
+                    vma.perms,
+                    vma.kind,
+                ));
             }
         }
         Ok(())
+    }
+
+    /// Start key of the heap VMA ending exactly at `end`, if any. At most
+    /// one VMA ends there, and it contains `end - 1`.
+    fn heap_ending_at(&self, end: Vpn) -> Option<u64> {
+        self.vmas
+            .range(..end.0)
+            .next_back()
+            .filter(|(_, v)| matches!(v.kind, VmaKind::Heap) && v.range.end == end)
+            .map(|(&s, _)| s)
     }
 
     /// `brk(new_brk)`: grows or shrinks the heap. Returns the new break.
@@ -533,38 +612,25 @@ impl AddressSpace {
             if self.overlaps_any(grow) {
                 return Err(AccessError::BadRange);
             }
-            // Find existing heap VMA ending at `old`.
-            let existing = self
-                .vmas
-                .iter()
-                .find(|(_, v)| matches!(v.kind, VmaKind::Heap) && v.range.end == old)
-                .map(|(&s, _)| s);
-            if let Some(s) = existing {
-                let mut v = self.vmas.remove(&s).expect("heap vma");
+            if let Some(s) = self.heap_ending_at(old) {
+                let mut v = self.vma_remove(s);
                 v.range.end = new_brk;
-                self.vmas.insert(v.range.start.0, v);
+                self.vma_insert(v);
             } else {
-                self.vmas
-                    .insert(grow.start.0, Vma::new(grow, Perms::RW, VmaKind::Heap));
+                self.vma_insert(Vma::new(grow, Perms::RW, VmaKind::Heap));
             }
         } else if new_brk.0 < old.0 {
             let shrink = PageRange::new(new_brk, old);
             // Heap VMA must cover the released range.
-            let existing = self
-                .vmas
-                .iter()
-                .find(|(_, v)| matches!(v.kind, VmaKind::Heap) && v.range.end == old)
-                .map(|(&s, _)| s);
-            let Some(s) = existing else {
+            let Some(s) = self.heap_ending_at(old) else {
                 return Err(AccessError::BadRange);
             };
-            let mut v = self.vmas.remove(&s).expect("heap vma");
-            if new_brk.0 <= v.range.start.0 {
-                // Whole heap VMA released.
-            } else {
+            let mut v = self.vma_remove(s);
+            if new_brk.0 > v.range.start.0 {
                 v.range.end = new_brk;
-                self.vmas.insert(v.range.start.0, v);
+                self.vma_insert(v);
             }
+            self.raise_free_floor(shrink);
             self.drop_pages_in(shrink, frames);
         }
         self.brk = new_brk;
@@ -586,9 +652,7 @@ impl AddressSpace {
     }
 
     fn drop_pages_in(&mut self, range: PageRange, frames: &mut FrameTable) {
-        self.pt.remove_range(range, |_, frame| frames.decref(frame));
-        self.dirty.clear_range(range);
-        self.tainted.clear_range(range);
+        self.evict_range(range, frames);
         // A dropped mapping takes its deferred-restore obligation with it
         // (matching eager semantics: post-restore madvise/munmap loses
         // the restored contents; the *next* restore re-arms the page via
@@ -1376,13 +1440,11 @@ impl AddressSpace {
     }
 
     /// Overwrites a whole contiguous run with `data` (one [`FrameData`]
-    /// per page of `range`), bypassing fault accounting — the batched
-    /// restore-writeback path. State outcomes (page table, frame table
-    /// including frame-id allocation order, taint index) are identical to
-    /// calling [`AddressSpace::restore_page`] once per page in ascending
-    /// order; the cost is one VMA probe per overlapped VMA, one chunk
-    /// probe per 512-page window and one extent edit fold per run,
-    /// instead of a map probe-and-splice per page.
+    /// per page of `range`), bypassing fault accounting: one-run
+    /// [`AddressSpace::restore_runs`]. State outcomes (page table, frame
+    /// table including frame-id allocation order, taint index) are
+    /// identical to calling [`AddressSpace::restore_page`] once per page
+    /// in ascending order.
     ///
     /// Errors with [`AccessError::Unmapped`] — before mutating anything —
     /// if any page of `range` lies outside every VMA.
@@ -1394,16 +1456,41 @@ impl AddressSpace {
         frames: &mut FrameTable,
     ) -> Result<(), AccessError> {
         debug_assert_eq!(range.len() as usize, data.len(), "one FrameData per page");
-        // Whole-run VMA coverage: one probe per overlapped VMA. Unlike the
-        // per-page loop this rejects the run before any write, but the
-        // restorer aborts on the first error either way.
-        let mut v = range.start;
-        while v < range.end {
-            let vma = self.vma_at(v).ok_or(AccessError::Unmapped(v))?;
-            v = Vpn(vma.range.end.0.min(range.end.0));
-        }
-        self.pt.restore_walk(range, |offset, cur| {
-            let page = &data[offset as usize];
+        self.restore_runs(&[range], data.iter().cloned(), taint, frames)
+    }
+
+    /// Overwrites several sorted, disjoint runs wholesale, bypassing fault
+    /// accounting — the restore-writeback path. `data` yields one
+    /// [`FrameData`] per page of `runs`, concatenated in order, and each
+    /// is moved into its frame.
+    ///
+    /// Identical to calling [`AddressSpace::restore_run`] once per run in
+    /// order, error included: if some run reaches outside every VMA, the
+    /// runs before it are written and the call returns that run's
+    /// [`AccessError::Unmapped`] without touching it or any later run.
+    /// The cost is one VMA probe per overlapped VMA, one forward extent
+    /// cursor and one chunk probe per touched 512-page window for all
+    /// runs together, and **one** extent edit fold.
+    pub fn restore_runs(
+        &mut self,
+        runs: &[PageRange],
+        data: impl IntoIterator<Item = FrameData>,
+        taint: Taint,
+        frames: &mut FrameTable,
+    ) -> Result<(), AccessError> {
+        // Whole-run VMA coverage, checked up front so a failing run is
+        // rejected before any of its pages is written.
+        let failed = runs
+            .iter()
+            .enumerate()
+            .find_map(|(i, &r)| self.first_unmapped(r).map(|v| (i, v)));
+        let (runs, result) = match failed {
+            Some((i, v)) => (&runs[..i], Err(AccessError::Unmapped(v))),
+            None => (runs, Ok(())),
+        };
+        let mut data = data.into_iter();
+        self.pt.restore_walk(runs, |cur| {
+            let page = data.next().expect("one FrameData per page");
             match cur {
                 Some((frame, flags)) => {
                     if frames.is_shared(frame) {
@@ -1411,26 +1498,45 @@ impl AddressSpace {
                         // page-ascending, so frame-id reuse matches the
                         // per-page path bit for bit.
                         frames.decref(frame);
-                        let fresh = frames.alloc(page.clone(), taint);
+                        let fresh = frames.alloc(page, taint);
                         BatchDecision::Update {
                             frame: Some(fresh),
                             flags: flags.without(PteFlags::COW),
                         }
                     } else {
-                        frames.overwrite(frame, page.clone(), taint);
+                        frames.overwrite(frame, page, taint);
                         BatchDecision::Update { frame: None, flags }
                     }
                 }
                 None => BatchDecision::Insert {
-                    frame: frames.alloc(page.clone(), taint),
+                    frame: frames.alloc(page, taint),
                     flags: PteFlags::PRESENT,
                 },
             }
         });
-        for vpn in range.iter() {
-            self.sync_taint_bit(vpn, taint);
+        for &range in runs {
+            if taint.is_tainted() {
+                for vpn in range.iter() {
+                    self.tainted.set(vpn);
+                }
+            } else {
+                self.tainted.clear_range(range);
+            }
         }
-        Ok(())
+        result
+    }
+
+    /// The first page of `range` outside every VMA, if any: one probe per
+    /// overlapped VMA.
+    fn first_unmapped(&self, range: PageRange) -> Option<Vpn> {
+        let mut v = range.start;
+        while v < range.end {
+            match self.vma_at(v) {
+                Some(vma) => v = Vpn(vma.range.end.0.min(range.end.0)),
+                None => return Some(v),
+            }
+        }
+        None
     }
 
     /// Removes the PTE of `vpn`, releasing its frame (restorer dropping a
@@ -1441,6 +1547,15 @@ impl AddressSpace {
             self.dirty.clear(vpn);
             self.tainted.clear(vpn);
         }
+    }
+
+    /// Removes the PTE of every present page of `range`, releasing their
+    /// frames in ascending order: [`AddressSpace::evict_page`] over each
+    /// page, as one extent-map splice and one index clear per range.
+    pub fn evict_range(&mut self, range: PageRange, frames: &mut FrameTable) {
+        self.pt.remove_range(range, |_, frame| frames.decref(frame));
+        self.dirty.clear_range(range);
+        self.tainted.clear_range(range);
     }
 
     /// Zeroes a page in place (stack zeroing during restore).
@@ -1458,6 +1573,11 @@ impl AddressSpace {
         self.dirty.clear_all();
         self.tainted.clear_all();
         self.vmas.clear();
+        self.mapped = 0;
+        self.free_hint = FreeHint {
+            floor: self.cfg.mmap_top.0,
+            min_len: 0,
+        };
         // Teardown discards outstanding obligations like any other
         // mapping drop, keeping the page-work conservation law exact
         // for stats read after the process is gone.
@@ -1485,6 +1605,8 @@ impl AddressSpace {
         AddressSpace {
             cfg: self.cfg,
             vmas: self.vmas.clone(),
+            mapped: self.mapped,
+            free_hint: self.free_hint,
             pt: child_pt,
             dirty: self.dirty.clone(),
             tainted: self.tainted.clone(),
@@ -1525,7 +1647,9 @@ impl AddressSpace {
     /// state they cache.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev_end = 0u64;
+        let mut mapped = 0u64;
         for (&start, vma) in &self.vmas {
+            mapped += vma.range.len();
             if start != vma.range.start.0 {
                 return Err(format!("vma key {start:#x} != range start {:?}", vma.range));
             }
@@ -1537,6 +1661,13 @@ impl AddressSpace {
             }
             prev_end = vma.range.end.0;
         }
+        if mapped != self.mapped {
+            return Err(format!(
+                "mapped count {} != vma coverage {mapped}",
+                self.mapped
+            ));
+        }
+        self.check_free_hint()?;
         self.pt.check()?;
         for (range, flags) in self.pt.extents() {
             for vpn in range.iter() {
@@ -1566,6 +1697,33 @@ impl AddressSpace {
             if self.vma_at(Vpn(vpn)).is_none() {
                 return Err(format!("lazy-pending page {vpn:#x} outside any vma"));
             }
+        }
+        Ok(())
+    }
+
+    /// The [`FreeHint`] invariant: the floor is `mmap_top` or inside a VMA,
+    /// and every free gap topping out above it is shorter than `min_len`.
+    fn check_free_hint(&self) -> Result<(), String> {
+        let top = self.cfg.mmap_top.0;
+        let FreeHint { floor, min_len } = self.free_hint;
+        if floor > top || (floor < top && self.vma_at(Vpn(floor)).is_none()) {
+            return Err(format!(
+                "free-hint floor {floor:#x} is neither mmap_top nor mapped"
+            ));
+        }
+        let mut ceiling = top;
+        for vma in self.vmas.range(..top).rev().map(|(_, v)| v) {
+            if ceiling <= floor {
+                break;
+            }
+            let gap_start = vma.range.end.0;
+            if gap_start < ceiling && ceiling - gap_start >= min_len {
+                return Err(format!(
+                    "free gap [{gap_start:#x}, {ceiling:#x}) above the hint floor {floor:#x} \
+                     holds {min_len} pages"
+                ));
+            }
+            ceiling = ceiling.min(vma.range.start.0);
         }
         Ok(())
     }

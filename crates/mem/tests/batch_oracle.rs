@@ -371,3 +371,203 @@ fn unsorted_batch_falls_back() {
     p.apply(&touches, "reverse order");
     assert!(!p.batch.is_sorted());
 }
+
+use gh_mem::FrameId;
+
+/// Three address spaces driven through one identical history; the
+/// writeback oracle below lands the same runs in each a different way.
+struct Worlds(Vec<(AddressSpace, FrameTable)>);
+
+impl Worlds {
+    fn new() -> Worlds {
+        Worlds(
+            (0..3)
+                .map(|_| {
+                    let mut f = FrameTable::new();
+                    (AddressSpace::new(SpaceConfig::default(), &mut f), f)
+                })
+                .collect(),
+        )
+    }
+
+    /// Applies `op` to every world; all must return the same value.
+    fn each<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        mut op: impl FnMut(&mut AddressSpace, &mut FrameTable) -> R,
+    ) -> R {
+        let mut out: Vec<R> = self.0.iter_mut().map(|(s, f)| op(s, f)).collect();
+        assert!(
+            out.windows(2).all(|w| w[0] == w[1]),
+            "worlds diverged: {out:?}"
+        );
+        out.swap_remove(0)
+    }
+
+    /// Full equivalence of worlds `i` and `j`: per-page frame ids, flags,
+    /// contents and taint; extents; the dirty and tainted indices; and
+    /// the frame table's live count, allocation count and free-list
+    /// order (the next allocation's id).
+    fn assert_equiv(&mut self, i: usize, j: usize, reqs: &[RequestId], ctx: &str) {
+        let (a, fa) = &self.0[i];
+        let (b, fb) = &self.0[j];
+        let ea: Vec<_> = a.extents().collect();
+        let eb: Vec<_> = b.extents().collect();
+        assert_eq!(ea, eb, "{ctx}: extents");
+        let pa: Vec<_> = a.pagemap().collect();
+        let pb: Vec<_> = b.pagemap().collect();
+        assert_eq!(pa, pb, "{ctx}: frame ids and flags");
+        for (vpn, pte) in &pa {
+            assert!(
+                fa.data(pte.frame).logical_eq(fb.data(pte.frame)),
+                "{ctx}: contents of {:#x}",
+                vpn.0
+            );
+            assert_eq!(fa.taint(pte.frame), fb.taint(pte.frame), "{ctx}: taint");
+        }
+        assert_eq!(
+            a.soft_dirty_pages(),
+            b.soft_dirty_pages(),
+            "{ctx}: dirty index"
+        );
+        for &req in reqs {
+            assert_eq!(
+                a.tainted_pages(req, fa),
+                b.tainted_pages(req, fb),
+                "{ctx}: tainted index for {req:?}"
+            );
+        }
+        assert_eq!(fa.live(), fb.live(), "{ctx}: live frames");
+        assert_eq!(
+            fa.total_allocated(),
+            fb.total_allocated(),
+            "{ctx}: allocations"
+        );
+        a.check_invariants_with_frames(fa).unwrap();
+        b.check_invariants_with_frames(fb).unwrap();
+        // Probe every world, so all stay in lockstep for later checks.
+        let next: Vec<FrameId> = self
+            .0
+            .iter_mut()
+            .map(|(_, f)| {
+                let id = f.alloc(FrameData::Zero, Taint::Clean);
+                f.decref(id);
+                id
+            })
+            .collect();
+        assert_eq!(next[i], next[j], "{ctx}: frame reuse order");
+    }
+}
+
+/// Writeback oracle: one multi-run `restore_runs` call equals the same
+/// runs applied one `restore_run` at a time — and, when every run lies
+/// inside a VMA, `restore_page` over every page. Runs cover absent
+/// pages, privately owned and shared frames (with and without CoW
+/// arming), several frame chunks, and runs reaching into a hole or past
+/// the mapping (the `Unmapped` path: earlier runs land, the failing run
+/// and every later one do not).
+#[test]
+fn multi_run_restore_matches_run_at_a_time() {
+    let reqs = [RequestId(1), RequestId(2), RequestId(3)];
+    for case in 0..96u64 {
+        let mut rng = DetRng::new(0x3E57_04E5 ^ case);
+        let mut w = Worlds::new();
+        let region = w.each(|s, _| s.mmap(1200, Perms::RW, VmaKind::Anon).unwrap());
+        // A hole, so some runs reach outside every VMA.
+        let hole = PageRange::at(Vpn(region.start.0 + 700 + rng.next_below(200)), 3);
+        w.each(|s, f| s.munmap(hole, f).unwrap());
+
+        // History: tainted writes and reads over a random subset.
+        for _ in 0..rng.next_below(400) {
+            let vpn = Vpn(region.start.0 + rng.next_below(region.len()));
+            let touch = if rng.next_below(3) == 0 {
+                Touch::Read
+            } else {
+                Touch::WriteWord(rng.next_u64())
+            };
+            let taint = Taint::One(reqs[rng.next_below(3) as usize]);
+            w.each(|s, f| s.touch(vpn, touch, taint, f).is_ok());
+        }
+        // Shared frames: an observer holds a random subset (an eager
+        // snapshot's structural sharing), sometimes CoW-armed.
+        let shared: Vec<Vpn> = w.0[0]
+            .0
+            .pagemap()
+            .map(|(v, _)| v)
+            .filter(|_| rng.next_below(3) == 0)
+            .collect();
+        let held: Vec<Vec<FrameId>> = w
+            .0
+            .iter_mut()
+            .map(|(s, f)| {
+                let ids: Vec<FrameId> = shared.iter().map(|&v| s.pte(v).unwrap().frame).collect();
+                for &id in &ids {
+                    f.incref(id);
+                }
+                ids
+            })
+            .collect();
+        if rng.next_below(2) == 0 {
+            w.each(|s, _| s.mark_all_cow());
+        }
+        if rng.next_below(2) == 0 {
+            w.each(|s, _| s.clear_soft_dirty());
+        }
+
+        // Sorted, disjoint runs over the region and a little beyond it.
+        let mut runs = Vec::new();
+        let mut v = region.start.0 - rng.next_below(3);
+        while v < region.end.0 + 2 {
+            v += rng.next_below(60);
+            let long = rng.next_below(4) == 0;
+            let len = 1 + rng.next_below(if long { 600 } else { 6 });
+            runs.push(PageRange::at(Vpn(v), len));
+            v += len;
+            if runs.len() == 1 + (case % 40) as usize {
+                break;
+            }
+        }
+        let data: Vec<FrameData> = runs
+            .iter()
+            .flat_map(|r| r.iter())
+            .map(|_| match rng.next_below(3) {
+                0 => FrameData::Zero,
+                _ => FrameData::Pattern(rng.next_u64()),
+            })
+            .collect();
+        let taint = if rng.next_below(4) == 0 {
+            Taint::One(RequestId(2))
+        } else {
+            Taint::Clean
+        };
+
+        let (s0, f0) = &mut w.0[0];
+        let multi = s0.restore_runs(&runs, data.iter().cloned(), taint, f0);
+        let (s1, f1) = &mut w.0[1];
+        let mut one_at_a_time = Ok(());
+        let mut at = 0usize;
+        for r in &runs {
+            let n = r.len() as usize;
+            one_at_a_time = s1.restore_run(*r, &data[at..at + n], taint, f1);
+            if one_at_a_time.is_err() {
+                break;
+            }
+            at += n;
+        }
+        let ctx = format!("case {case}: {} runs", runs.len());
+        assert_eq!(multi, one_at_a_time, "{ctx}: result");
+        w.assert_equiv(0, 1, &reqs, &ctx);
+        if multi.is_ok() {
+            let (s2, f2) = &mut w.0[2];
+            for (vpn, page) in runs.iter().flat_map(|r| r.iter()).zip(&data) {
+                s2.restore_page(vpn, page, taint, f2).unwrap();
+            }
+            w.assert_equiv(0, 2, &reqs, &format!("{ctx} vs per-page"));
+        }
+        for ((_, f), ids) in w.0.iter_mut().zip(held) {
+            for id in ids {
+                f.decref(id);
+            }
+        }
+        w.assert_equiv(0, 1, &reqs, &format!("{ctx}: after release"));
+    }
+}

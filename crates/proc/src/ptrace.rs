@@ -155,11 +155,19 @@ impl<'k> PtraceSession<'k> {
 
     /// Reads `/proc/pid/maps`; charges per-VMA cost.
     pub fn read_maps(&mut self) -> Result<Vec<Vma>, PtraceError> {
-        let proc = self.k.process(self.pid)?;
-        let maps = proc.mem.maps();
-        let dt = self.k.cost.read_maps_cost(maps.len());
+        self.read_maps_in_place()?;
+        Ok(self.k.process(self.pid)?.mem.maps())
+    }
+
+    /// Reads `/proc/pid/maps` without copying it out: charges exactly
+    /// what [`PtraceSession::read_maps`] does and returns the VMA count.
+    /// Callers that only inspect the layout borrow it through the
+    /// process (`AddressSpace::vmas_iter`) instead of cloning every VMA.
+    pub fn read_maps_in_place(&mut self) -> Result<usize, PtraceError> {
+        let vmas = self.k.process(self.pid)?.mem.vma_count();
+        let dt = self.k.cost.read_maps_cost(vmas);
         self.k.charge(dt);
-        Ok(maps)
+        Ok(vmas)
     }
 
     /// The page-metadata footprint of the tracee right now, for
@@ -303,21 +311,23 @@ impl<'k> PtraceSession<'k> {
             .map_err(PtraceError::Syscall)
     }
 
-    /// Writes a whole contiguous run wholesale (`data` holds one page per
-    /// vpn of `range`); contents become `taint`. State outcome is
-    /// identical to [`PtraceSession::write_page`] per page ascending, at
-    /// one page-table walk per run. No cost charged here: the restorer
+    /// Writes sorted, disjoint runs wholesale (`data` yields one page per
+    /// vpn of `runs`, concatenated, each moved into its frame); contents
+    /// become `taint`. State outcome is identical to
+    /// [`PtraceSession::write_page`] per page ascending (up to the first
+    /// run that reaches outside every VMA, which fails whole), at one
+    /// page-table walk for all runs. No cost charged here: the restorer
     /// charges coalesced-run costs.
-    pub fn write_run(
+    pub fn write_runs(
         &mut self,
-        range: gh_mem::PageRange,
-        data: &[FrameData],
+        runs: &[gh_mem::PageRange],
+        data: impl IntoIterator<Item = FrameData>,
         taint: Taint,
     ) -> Result<(), PtraceError> {
         self.require_stopped()?;
         let (proc, frames) = self.k.mem_ctx(self.pid)?;
         proc.mem
-            .restore_run(range, data, taint, frames)
+            .restore_runs(runs, data, taint, frames)
             .map_err(PtraceError::Syscall)
     }
 
@@ -342,6 +352,16 @@ impl<'k> PtraceSession<'k> {
         self.require_stopped()?;
         let (proc, frames) = self.k.mem_ctx(self.pid)?;
         proc.mem.evict_page(vpn, frames);
+        Ok(())
+    }
+
+    /// Evicts every present page of `range` (the restore's madvise of
+    /// newly paged pages): the same state as [`PtraceSession::evict_page`]
+    /// over each page. The madvise cost is charged by the restorer.
+    pub fn evict_range(&mut self, range: gh_mem::PageRange) -> Result<(), PtraceError> {
+        self.require_stopped()?;
+        let (proc, frames) = self.k.mem_ctx(self.pid)?;
+        proc.mem.evict_range(range, frames);
         Ok(())
     }
 
