@@ -12,31 +12,28 @@
 //! determinism job asserts exactly that by diffing `--serial` against
 //! parallel output, across a `GH_THREADS` matrix.
 //!
-//! Knobs (shared with `gh_faas::fleet`'s host-parallel execution):
-//! `--serial` or `GH_SERIAL=1` forces one worker; `GH_THREADS=n` pins
-//! the worker count, defaulting to the host's available parallelism.
+//! Knobs (shared with `gh_faas::fleet`'s host-parallel execution, and
+//! resolved by the same [`ExecMode::threads`]): `--serial` or
+//! `GH_SERIAL=1` forces one worker; `GH_THREADS=n` pins the worker
+//! count, defaulting to the host's available parallelism. A `GH_THREADS`
+//! that is not a positive integer stops the run with an error naming it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// True when the caller asked for the serial fallback (`--serial` on
-/// the command line, or `GH_SERIAL=1` in the environment).
+use gh_faas::fleet::ExecMode;
+
+/// True when sweeps run on one worker: `--serial` or `GH_SERIAL=1` was
+/// given, or `GH_THREADS` (or the host) allows only one.
 pub fn serial_requested() -> bool {
-    std::env::args().any(|a| a == "--serial") || std::env::var("GH_SERIAL").is_ok_and(|v| v != "0")
+    configured_workers() == 1
 }
 
-/// Worker count for a parallel sweep: `GH_THREADS=n` when set, else the
-/// host's available parallelism.
+/// Worker count for a parallel sweep: [`ExecMode::Auto`]'s resolution
+/// (`--serial`/`GH_SERIAL`, then `GH_THREADS`, then the host's available
+/// parallelism).
 pub fn configured_workers() -> usize {
-    match std::env::var("GH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    ExecMode::Auto.threads()
 }
 
 /// Evaluates `f` over every cell, in parallel unless `serial`, and

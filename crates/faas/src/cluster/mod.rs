@@ -7,10 +7,9 @@
 //!
 //! - every **node** hosts a pool per function deployed to it (its
 //!   replica set, see [`place`]) and drives all of its pools through
-//!   one node-local [`gh_sim::event::EventQueue`] — restore-aware
-//!   scheduling, admission queues and overlap accounting all work
-//!   per-node exactly as in [`crate::fleet`], and each dispatch goes
-//!   through the fault-aware step the fleet and gateway loops share
+//!   the node loop the fleet and gateway run on (`fleet::node`): one
+//!   node-local [`gh_sim::event::EventQueue`], admission queues,
+//!   overlap accounting and the fault-aware dispatch step
 //!   (`fleet::retry`), so container deaths, retries and restore
 //!   failures behave identically at every layer;
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
@@ -70,15 +69,13 @@ pub mod scale;
 use gh_functions::FunctionSpec;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
-use gh_sim::event::EventQueue;
 use gh_sim::stats::throughput_rps;
 use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::fleet::{
-    par, Attempt, DepthTracker, ExecMode, FaultGate, GateEvent, Pending, Pool, RoutePolicy, Router,
-};
+use crate::fleet::node::{Node, Offer, Tally};
+use crate::fleet::{DepthTracker, ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceGen};
 
 use std::sync::Mutex;
@@ -224,17 +221,15 @@ pub struct ClusterResult {
 }
 
 /// One node's raw outcome, before the cluster merge.
+#[derive(Default)]
 struct NodeResult {
-    completed: u64,
-    sojourns: QuantileSketch,
-    depth: DepthTracker,
+    tally: Tally,
     restore_total: Nanos,
     restore_hidden: Nanos,
     lazy_faults: u64,
     busy: Nanos,
     containers: u32,
     span_end: Nanos,
-    faults: FaultStats,
 }
 
 /// One backend-bound arrival as the coordinator fold hands it to its
@@ -402,29 +397,11 @@ fn fold_trace(
     (streams, tally)
 }
 
-/// Node-local events: a trace arrival reaching the node, a container
-/// (pool, slot) finishing its restore, or a parked retry (token into
-/// the node's fault gate) coming due after its backoff.
-enum NodeEv {
-    Arrival,
-    Ready(u32, u32),
-    Retry(u32),
-}
-
-impl GateEvent<(u32, u32)> for NodeEv {
-    fn ready((pool, slot): (u32, u32)) -> NodeEv {
-        NodeEv::Ready(pool, slot)
-    }
-    fn retry(token: u32) -> NodeEv {
-        NodeEv::Retry(token)
-    }
-}
-
 /// Runs node `node`'s entire timeline over its arrival stream from the
-/// coordinator fold, driving the node's pools through one local event
-/// queue. Pure: no shared state, so serial and parallel callers get
-/// identical results. The stream is consumed as the node runs and freed
-/// when it finishes.
+/// coordinator fold: a many-pool node loop that runs its event queue dry.
+/// Pure: no shared state, so serial and parallel callers get identical
+/// results. The stream is consumed as the node runs and freed when it
+/// finishes.
 fn run_node(
     node: usize,
     arrivals: Vec<Arrival>,
@@ -463,128 +440,48 @@ fn run_node(
     let principals: Vec<String> = (0..trace_cfg.principals)
         .map(|p| format!("user-{p}"))
         .collect();
-
-    // Fault plan, if armed. Draws are pure hashes of (seed, request,
-    // attempt), so a node's own faults stay node-pure. Killed requests
-    // park on the gate with their (pool, slot); retries stay on this
-    // node — rerouting moves them to another container in the same
-    // pool, never across nodes, so node timelines remain pure.
-    let mut gate = FaultGate::new(ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new));
-
-    let delivered = arrivals.len() as u64;
-    let mut arrivals = arrivals.into_iter();
-    let mut events: EventQueue<NodeEv> = EventQueue::new();
-    let mut upcoming = arrivals.next();
-    if let Some(a) = &upcoming {
-        events.schedule(a.at, NodeEv::Arrival);
-    }
-    let mut sojourns = QuantileSketch::new();
-    let mut depth = DepthTracker::new();
-    let mut completed = 0u64;
-    let mut queued = 0usize;
-
-    while let Some((now, ev)) = events.pop() {
-        let (pi, si) = match ev {
-            NodeEv::Arrival => {
-                let a = upcoming.take().expect("arrival without a trace event");
-                let pi = pool_of[a.fn_id as usize].expect("placed on a non-replica") as usize;
-                let pool = &mut pools[pi];
-                let si = routers[pi].route(
-                    now,
-                    &principals[a.principal as usize],
-                    restore_cost[pi],
-                    &pool.slots,
-                );
-                pool.slots[si].queue.push(Pending {
-                    id: a.seq,
-                    principal: principals[a.principal as usize].clone(),
-                    input_kb: pool.spec.input_kb,
-                    arrival: a.at,
-                    payload_hash: 0,
-                    idempotent: false,
-                    attempt: 1,
-                });
-                queued += 1;
-                depth.record(queued);
-                upcoming = arrivals.next();
-                if let Some(next) = &upcoming {
-                    events.schedule(next.at, NodeEv::Arrival);
-                }
-                (pi, si)
-            }
-            NodeEv::Ready(pi, si) => (pi as usize, si as usize),
-            NodeEv::Retry(token) => {
-                let (p, (pi, died_si)) = gate.unpark(token);
-                let pi = pi as usize;
-                let si = gate.retry_slot(
-                    &mut routers[pi],
-                    now,
-                    &p,
-                    restore_cost[pi],
-                    &pools[pi].slots,
-                    died_si as usize,
-                );
-                pools[pi].slots[si].queue.push(p);
-                queued += 1;
-                depth.record(queued);
-                (pi, si)
-            }
-        };
-        let home = (pi as u32, si as u32);
-        match gate.dispatch(&mut pools[pi].slots[si], home, now, &mut events)? {
-            Attempt::Served(d) => {
-                sojourns.record_nanos(d.sojourn);
-                completed += 1;
-                queued -= 1;
-            }
-            Attempt::Died => queued -= 1,
-            Attempt::Idle => {}
+    let offers = arrivals.into_iter().map(|a| {
+        let pool = pool_of[a.fn_id as usize].expect("placed on a non-replica");
+        Offer {
+            pool,
+            principal: u64::from(a.principal),
+            req: Pending {
+                id: a.seq,
+                principal: principals[a.principal as usize].clone(),
+                input_kb: catalog[a.fn_id as usize].input_kb,
+                arrival: a.at,
+                payload_hash: 0,
+                idempotent: false,
+                attempt: 1,
+            },
         }
-        if matches!(ev, NodeEv::Ready(..)) {
-            depth.record(queued);
-        }
-    }
-    assert_eq!(queued, 0, "node {node}: queues must drain");
-    assert_eq!(
-        gate.parked(),
-        0,
-        "node {node}: every parked retry must fire"
-    );
-    assert_eq!(
-        delivered,
-        completed + gate.stats.abandoned,
-        "node {node}: every delivered arrival completes or is abandoned"
-    );
+    });
 
-    let mut restore_total = Nanos::ZERO;
-    let mut restore_hidden = Nanos::ZERO;
-    let mut lazy_faults = 0u64;
-    let mut busy = Nanos::ZERO;
-    let mut span_end = trace_cfg.origin;
-    for pool in &mut pools {
-        for s in &mut pool.slots {
-            s.settle();
-            restore_total += s.restore_total;
-            restore_hidden += s.restore_hidden;
-            lazy_faults += s.lazy_faults;
-            busy += s.busy;
-            if s.served > 0 {
-                span_end = span_end.max(s.container.now());
-            }
-        }
-    }
-    Ok(NodeResult {
-        completed,
-        sojourns,
-        depth,
-        restore_total,
-        restore_hidden,
-        lazy_faults,
-        busy,
+    // Fault draws are pure hashes of (seed, request, attempt), so a
+    // node's own faults stay node-pure. Retries stay on this node —
+    // rerouting moves them to another container in the same pool, never
+    // across nodes, so node timelines remain pure.
+    let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
+    let tally =
+        Node::new(&mut pools, &mut routers, &restore_cost, plan).run(offers, &mut (), true)?;
+
+    let mut r = NodeResult {
+        tally,
         containers,
-        span_end,
-        faults: gate.stats,
-    })
+        span_end: trace_cfg.origin,
+        ..NodeResult::default()
+    };
+    for s in pools.iter_mut().flat_map(|p| p.slots.iter_mut()) {
+        s.settle();
+        r.restore_total += s.restore_total;
+        r.restore_hidden += s.restore_hidden;
+        r.lazy_faults += s.lazy_faults;
+        r.busy += s.busy;
+        if s.served > 0 {
+            r.span_end = r.span_end.max(s.container.now());
+        }
+    }
+    Ok(r)
 }
 
 /// Merges per-node outcomes (already in node-index order) into the
@@ -610,10 +507,10 @@ fn merge(
     let mut faults = FaultStats::default();
     let mut per_node = Vec::with_capacity(nodes.len());
     for n in &nodes {
-        sojourns.merge(&n.sojourns);
-        depth.merge(&n.depth);
-        faults.merge(&n.faults);
-        completed += n.completed;
+        sojourns.merge(&n.tally.sojourns);
+        depth.merge(&n.tally.depth);
+        faults.merge(&n.tally.faults);
+        completed += n.tally.completed;
         restore_total += n.restore_total;
         restore_hidden += n.restore_hidden;
         lazy_faults += n.lazy_faults;
@@ -621,7 +518,7 @@ fn merge(
         containers += n.containers;
         span_end = span_end.max(n.span_end);
         per_node.push(NodeLoad {
-            completed: n.completed,
+            completed: n.tally.completed,
             containers: n.containers,
             busy_ms: n.busy.as_millis_f64(),
         });
@@ -734,63 +631,32 @@ fn run_nodes(
     mode: ExecMode,
     gcfg: Option<&GatewayConfig>,
 ) -> Result<(Vec<NodeResult>, FoldTally), StrategyError> {
-    let threads = match mode {
-        ExecMode::Serial => 1,
-        ExecMode::Parallel { threads } => threads,
-        ExecMode::Auto => {
-            if par::serial_requested() {
-                1
-            } else {
-                par::configured_threads()
-            }
-        }
-    };
+    let threads = mode.threads();
     let (streams, tally) = fold_trace(trace_cfg, catalog, ccfg, gcfg);
     let node = |i, arrivals| run_node(i, arrivals, trace_cfg, catalog, ccfg, gh, &tally.placer);
     let n = ccfg.nodes;
-    let results: Vec<NodeResult> = if threads >= 2 && n >= 2 {
-        // Work-stealing: each worker claims the next node together with
-        // its stream. Merge order is fixed by index, so completion order
-        // is irrelevant.
-        let feeds = Mutex::new(streams.into_iter().enumerate());
-        let mut collected: Vec<Vec<(usize, Result<NodeResult, StrategyError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads.min(n))
-                    .map(|_| {
-                        let (feeds, node) = (&feeds, &node);
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let claim = feeds.lock().expect("feed lock poisoned").next();
-                                let Some((i, arrivals)) = claim else {
-                                    break local;
-                                };
-                                local.push((i, node(i, arrivals)));
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("node worker panicked"))
-                    .collect()
+    if threads < 2 || n < 2 {
+        let results = streams.into_iter().enumerate().map(|(i, a)| node(i, a));
+        return Ok((results.collect::<Result<_, _>>()?, tally));
+    }
+    // Work-stealing: each worker claims the next node together with its
+    // stream. Merge order is fixed by index, so completion order is
+    // irrelevant.
+    let feeds = Mutex::new(streams.into_iter().enumerate());
+    let done = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let claim = feeds.lock().expect("feed lock poisoned").next();
+                let Some((i, arrivals)) = claim else { break };
+                let r = node(i, arrivals);
+                done.lock().expect("result lock poisoned").push((i, r));
             });
-        let mut slots: Vec<Option<Result<NodeResult, StrategyError>>> =
-            (0..n).map(|_| None).collect();
-        for (i, r) in collected.drain(..).flatten() {
-            slots[i] = Some(r);
         }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every node index claimed"))
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, arrivals)| node(i, arrivals))
-            .collect::<Result<Vec<_>, _>>()?
-    };
+    });
+    let mut done = done.into_inner().expect("result lock poisoned");
+    done.sort_by_key(|&(i, _)| i);
+    let results = done.into_iter().map(|(_, r)| r).collect::<Result<_, _>>()?;
     Ok((results, tally))
 }
 

@@ -23,6 +23,7 @@
 //! node via [`RetryPolicy::reroute`]. Per-fault accounting lands in
 //! [`FaultStats`], nested in `FleetStats` / `ClusterResult`.
 
+use gh_gateway::cache::mix;
 use gh_sim::Nanos;
 
 /// Stream tags XORed into the seed so the three fault families draw
@@ -33,15 +34,6 @@ const STREAM_DEATH_FRAC: u64 = 0xFA17_0002;
 const STREAM_RESTORE: u64 = 0xFA17_0003;
 const STREAM_NODE: u64 = 0xFA17_0004;
 const STREAM_COMMIT: u64 = 0xFA17_0005;
-
-/// splitmix64 finalizer — the same bijective mix the placer and cache
-/// use, duplicated here so fault draws do not depend on either.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Uniform in `[0, 1)` from a hash input (53 mantissa bits).
 fn unit(h: u64) -> f64 {

@@ -7,8 +7,10 @@
 //! virtual timeline, separated by a cooldown so one burst triggers one
 //! scale step, not a stampede.
 
+use gh_isolation::StrategyError;
 use gh_sim::Nanos;
 
+use super::node::Hooks;
 use super::pool::Pool;
 
 /// Autoscaler tuning.
@@ -118,6 +120,32 @@ impl Autoscaler {
             ScaleAction::Grow => self.grown += 1,
             ScaleAction::Retire(_) => self.retired += 1,
         }
+    }
+}
+
+/// The reactive autoscaler as the node loop's scaling hook: after each
+/// arrival it observes the pool and applies at most one action.
+impl Hooks for Option<Autoscaler> {
+    fn scale(
+        &mut self,
+        now: Nanos,
+        pool: &mut Pool,
+    ) -> Result<Option<(usize, Nanos)>, StrategyError> {
+        let Some(scaler) = self else {
+            return Ok(None);
+        };
+        let Some(action) = scaler.observe(now, pool) else {
+            return Ok(None);
+        };
+        let grown = match action {
+            ScaleAction::Grow => Some(pool.grow(now)?),
+            ScaleAction::Retire(idx) => {
+                pool.retire(idx);
+                None
+            }
+        };
+        scaler.applied(now, action);
+        Ok(grown)
     }
 }
 

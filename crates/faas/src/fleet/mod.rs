@@ -12,6 +12,8 @@
 //! This module drives N containers, each on its own virtual timeline,
 //! through one global [`gh_sim::event::EventQueue`]:
 //!
+//! - `node::Node` — the one serial pool loop (this fleet's, the
+//!   gateway's and each cluster node's), with optional edge hooks;
 //! - [`pool::Pool`] / [`pool::Slot`] — containers plus scheduling state
 //!   (admission queue, response/readiness times, restore-overlap
 //!   accounting);
@@ -23,9 +25,8 @@
 //!   is provably clean (§4.5), with queue-depth percentile tracking;
 //! - [`autoscaler::Autoscaler`] — optional queue-depth-driven growth and
 //!   idle retirement;
-//! - `retry::FaultGate` — the fault-aware dispatch step (death, retry
-//!   park table, restore failure) shared with the gateway and cluster
-//!   loops.
+//! - `retry::FaultGate` — the node loop's fault-aware dispatch step
+//!   (death, retry park table, restore failure).
 //!
 //! A pool of one with the round-robin policy reproduces the single
 //! container open-loop semantics exactly (see [`crate::openloop`]).
@@ -53,11 +54,12 @@
 //! mutates the pool mid-run), faults are armed (crash/retry events are
 //! the same kind of dependence), the pool has fewer than two slots,
 //! fewer than two threads are available, or the caller forced it
-//! ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`). It is one loop for
-//! faulty and fault-free runs alike: every dispatch goes through the
-//! fault gate, which without a plan is exactly `Slot::dispatch`.
+//! ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`): a one-pool node
+//! for faulty and fault-free runs alike, since its fault gate without a
+//! plan is exactly `Slot::dispatch`.
 
 pub mod autoscaler;
+pub(crate) mod node;
 pub(crate) mod par;
 pub mod pool;
 pub mod queue;
@@ -65,6 +67,7 @@ pub(crate) mod retry;
 pub mod router;
 
 use gh_functions::FunctionSpec;
+use gh_gateway::cache::mix;
 use gh_isolation::{StrategyError, StrategyKind};
 use gh_sim::event::EventQueue;
 use gh_sim::stats::throughput_rps;
@@ -72,12 +75,15 @@ use gh_sim::{DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
+use crate::gateway::GatewayFleetConfig;
+use crate::trace::{advance_diurnal, exp_gap};
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
+use node::{Event, Node, Offer, Tally};
 pub use par::ExecMode;
 pub use pool::{Dispatched, Pool, PoolMemory, Slot};
 pub use queue::{AdmissionQueue, DepthTracker, Pending};
-pub(crate) use retry::{Attempt, FaultGate, GateEvent};
+pub(crate) use retry::{Attempt, FaultGate};
 pub use router::{RoutePolicy, Router};
 
 /// Fleet-run configuration (the pool itself carries function, strategy
@@ -207,27 +213,6 @@ pub struct FleetResult {
     pub stats: FleetStats,
 }
 
-/// Events on the fleet's global virtual timeline.
-#[derive(Clone, Copy, Debug)]
-enum Event {
-    /// A client request reaches the router.
-    Arrival,
-    /// A container's restore completed; it is provably clean.
-    Ready(usize),
-    /// A killed request's backoff elapsed; re-queue the parked retry at
-    /// this token (fault-injecting runs only).
-    Retry(u32),
-}
-
-impl GateEvent<usize> for Event {
-    fn ready(idx: usize) -> Event {
-        Event::Ready(idx)
-    }
-    fn retry(token: u32) -> Event {
-        Event::Retry(token)
-    }
-}
-
 /// Per-slot counter baseline captured at run start (busy, restore
 /// total, restore hidden, served, lazy faults, drained pages).
 pub(crate) type Baseline = (Nanos, Nanos, Nanos, u64, u64, u64);
@@ -240,10 +225,94 @@ fn drained(s: &Slot) -> u64 {
     }
 }
 
-/// Next inter-arrival gap of the Poisson arrival process.
-pub(crate) fn poisson_gap(offered_rps: f64, rng: &mut DetRng) -> Nanos {
-    let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-    Nanos::from_millis_f64(-u.ln() / offered_rps * 1e3)
+/// The Poisson arrival source: `left` arrivals after `t_start`, ids
+/// from 1, principals drawn uniformly (`"client"` when there is one).
+/// Each concern rides its own seeded stream, and a gateway knob's stream
+/// is touched only when the knob is non-zero, so the plain fleet
+/// workload is the gateway workload with every knob at zero.
+pub(crate) struct Poisson {
+    cfg: GatewayFleetConfig,
+    input_kb: u64,
+    t_start: Nanos,
+    cursor: Nanos,
+    next_id: u64,
+    left: usize,
+    /// Gap, principal, payload, skew and thinning streams.
+    rngs: [DetRng; 5],
+}
+
+impl Poisson {
+    const SALTS: [u64; 5] = [
+        0x09E4_100D,
+        0x7E4A_4175,
+        0x6A7E_0001,
+        0x6A7E_0002,
+        0x6A7E_0003,
+    ];
+
+    /// `requests` arrivals of `cfg`'s workload, `input_kb` each.
+    pub(crate) fn new(
+        cfg: GatewayFleetConfig,
+        input_kb: u64,
+        t_start: Nanos,
+        requests: usize,
+    ) -> Poisson {
+        let seed = cfg.fleet.seed;
+        Poisson {
+            cfg,
+            input_kb,
+            t_start,
+            cursor: t_start,
+            next_id: 1,
+            left: requests,
+            rngs: Self::SALTS.map(|salt| DetRng::new(seed ^ salt)),
+        }
+    }
+}
+
+impl Iterator for Poisson {
+    type Item = Offer;
+
+    fn next(&mut self) -> Option<Offer> {
+        self.left = self.left.checked_sub(1)?;
+        let cfg = &self.cfg;
+        let [gaps, principals, payloads, skew, thin] = &mut self.rngs;
+        let rate = (cfg.fleet.offered_rps, cfg.diurnal_amplitude);
+        if rate.1 == 0.0 {
+            self.cursor += exp_gap(rate.0, gaps);
+        } else {
+            let phase = (self.t_start, cfg.diurnal_period);
+            advance_diurnal(&mut self.cursor, rate, phase, gaps, thin);
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let pidx = match cfg.fleet.principals as u64 {
+            0 | 1 => None,
+            _ if cfg.hot_principal_frac > 0.0 && skew.next_f64() < cfg.hot_principal_frac => {
+                Some(0)
+            }
+            n => Some(principals.next_below(n)),
+        };
+        let (payload_hash, idempotent) = if cfg.idempotent_frac > 0.0 {
+            let p = payloads.next_below(cfg.payload_universe.max(1));
+            (mix(p), payloads.next_f64() < cfg.idempotent_frac)
+        } else {
+            (0, false)
+        };
+        Some(Offer {
+            pool: 0,
+            principal: pidx.unwrap_or(0),
+            req: Pending {
+                id,
+                principal: pidx.map_or_else(|| "client".to_string(), |i| format!("user-{i}")),
+                input_kb: self.input_kb,
+                arrival: self.cursor,
+                payload_hash,
+                idempotent,
+                attempt: 1,
+            },
+        })
+    }
 }
 
 /// The event-driven fleet driver. Owns routing and autoscaling state;
@@ -253,9 +322,9 @@ pub struct Fleet {
     pub(crate) cfg: FleetConfig,
     pub(crate) router: Router,
     pub(crate) autoscaler: Option<Autoscaler>,
-    /// Fault plan, accounting of the most recent run and retry park
-    /// table; unarmed unless [`Fleet::with_faults`] got an active config.
-    pub(crate) gate: FaultGate<usize>,
+    /// Fault plan; `None` unless [`Fleet::with_faults`] got an active
+    /// config.
+    pub(crate) faults: Option<FaultPlan>,
 }
 
 impl Fleet {
@@ -268,7 +337,7 @@ impl Fleet {
             cfg,
             router,
             autoscaler,
-            gate: FaultGate::new(None),
+            faults: None,
         }
     }
 
@@ -277,7 +346,7 @@ impl Fleet {
     /// principle — the fault-free path is the same machine code either
     /// way.
     pub fn with_faults(mut self, cfg: FaultConfig) -> Fleet {
-        self.gate = FaultGate::new(cfg.is_active().then(|| FaultPlan::new(cfg)));
+        self.faults = cfg.is_active().then(|| FaultPlan::new(cfg));
         self
     }
 
@@ -309,6 +378,13 @@ impl Fleet {
                 )
             })
             .collect()
+    }
+
+    /// The run's arrival source: the gateway workload with every knob at
+    /// zero.
+    fn arrivals(&self, pool: &Pool, t_start: Nanos, requests: usize) -> Poisson {
+        let workload = GatewayFleetConfig::passthrough(self.cfg.clone());
+        Poisson::new(workload, pool.spec.input_kb, t_start, requests)
     }
 
     /// Drives `requests` Poisson arrivals through `pool` and runs the
@@ -344,161 +420,38 @@ impl Fleet {
         requests: usize,
         mode: ExecMode,
     ) -> Result<FleetResult, StrategyError> {
-        if requests == 0 {
-            // Degenerate run: identical (and empty) in every mode.
-            let t_start = Self::span_start(pool);
-            let baseline = Self::baselines(pool);
-            return Ok(self.finish(
-                pool,
-                t_start,
-                &baseline,
-                &DepthTracker::new(),
-                &QuantileSketch::new(),
-                0,
-            ));
-        }
-        let threads = match mode {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-            ExecMode::Auto => {
-                if par::serial_requested() {
-                    1
-                } else {
-                    par::configured_threads()
-                }
-            }
-        };
         // Faulty runs stay serial: crash/retry events create
         // arrival→readiness data dependences the shard/merge scheme
         // cannot express. (Cluster runs still parallelize across *nodes*
         // with faults on — see `crate::cluster` — because node timelines
         // stay pure.)
-        let eligible = threads >= 2
+        let threads = mode.threads();
+        let eligible = requests > 0
+            && threads >= 2
             && self.cfg.policy == RoutePolicy::RoundRobin
             && self.autoscaler.is_none()
-            && !self.gate.armed()
+            && self.faults.is_none()
             && pool.slots.len() >= 2;
         if eligible {
-            self.run_parallel(pool, requests, threads)
-        } else {
-            self.run_serial(pool, requests)
+            return self.run_parallel(pool, requests, threads);
         }
-    }
-
-    /// The bit-exact serial reference: one global event loop on the
-    /// caller's thread, dispatching through the fleet's
-    /// [`FaultGate`] — with no plan armed that is exactly
-    /// `Slot::dispatch`; with one, crashes park retries on the gate and
-    /// `Event::Retry` re-queues them after their backoff.
-    fn run_serial(
-        &mut self,
-        pool: &mut Pool,
-        requests: usize,
-    ) -> Result<FleetResult, StrategyError> {
-        let input_kb = pool.spec.input_kb;
+        // The bit-exact serial reference: a one-pool node on the
+        // caller's thread. The router predicts the critical-path cost of
+        // routing a principal to a container that must roll back first
+        // (§4.4's deferred-restore mode) from the paper's measured
+        // restore time.
         let t_start = Self::span_start(pool);
-        let offered_rps = self.cfg.offered_rps;
         let baseline = Self::baselines(pool);
-        // The router predicts the critical-path cost of routing a
-        // principal to a container that must roll back first (§4.4's
-        // deferred-restore mode) from the paper's measured restore time.
-        let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
-        let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
-        // A separate stream: principal draws must not perturb the
-        // arrival process (single-principal runs stay bit-identical to
-        // the original open-loop harness).
-        let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut next_arrival = t_start;
-        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-        events.schedule(next_arrival, Event::Arrival);
-        let mut generated = 1usize;
-        let mut next_id = 1u64;
-
-        let mut depth = DepthTracker::new();
-        // Sojourns feed a fixed-size sketch in integer nanoseconds —
-        // stats memory stays constant at 10⁶–10⁷ requests per run.
-        let mut sojourns = QuantileSketch::new();
-        let mut completed = 0usize;
-        self.gate.stats = FaultStats::default();
-
-        while let Some((now, ev)) = events.pop() {
-            let idx = match ev {
-                Event::Arrival => {
-                    let id = next_id;
-                    next_id += 1;
-                    let principal = if self.cfg.principals <= 1 {
-                        "client".to_string()
-                    } else {
-                        format!(
-                            "user-{}",
-                            principal_rng.next_below(self.cfg.principals as u64)
-                        )
-                    };
-                    let idx = self
-                        .router
-                        .route(now, &principal, restore_cost, &pool.slots);
-                    pool.slots[idx].queue.push(Pending {
-                        id,
-                        principal,
-                        input_kb,
-                        arrival: now,
-                        payload_hash: 0,
-                        idempotent: false,
-                        attempt: 1,
-                    });
-                    depth.record(pool.queued());
-                    if generated < requests {
-                        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-                        events.schedule(next_arrival, Event::Arrival);
-                        generated += 1;
-                    }
-                    idx
-                }
-                Event::Ready(idx) => idx,
-                Event::Retry(token) => {
-                    let (p, died_on) = self.gate.unpark(token);
-                    let idx = self.gate.retry_slot(
-                        &mut self.router,
-                        now,
-                        &p,
-                        restore_cost,
-                        &pool.slots,
-                        died_on,
-                    );
-                    pool.slots[idx].queue.push(p);
-                    depth.record(pool.queued());
-                    idx
-                }
-            };
-            let attempt = self
-                .gate
-                .dispatch(&mut pool.slots[idx], idx, now, &mut events)?;
-            if let Attempt::Served(d) = attempt {
-                sojourns.record_nanos(d.sojourn);
-                completed += 1;
-            }
-            match ev {
-                Event::Arrival => self.autoscale(now, pool, &mut events)?,
-                Event::Ready(_) => depth.record(pool.queued()),
-                Event::Retry(_) => {}
-            }
-            if completed + self.gate.stats.abandoned as usize == requests
-                && pool.queued() == 0
-                && self.gate.parked() == 0
-            {
-                break;
-            }
-        }
-        assert_eq!(
-            completed + self.gate.stats.abandoned as usize,
-            requests,
-            "every arrival is served or abandoned"
-        );
-        assert_eq!(pool.queued(), 0, "admission queues must drain");
-        assert_eq!(self.gate.parked(), 0, "every parked retry must fire");
-
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
+        let restore_cost = [Nanos::from_millis_f64(pool.spec.paper_restore_ms)];
+        let arrivals = self.arrivals(pool, t_start, requests);
+        let tally = Node::new(
+            std::slice::from_mut(pool),
+            std::slice::from_mut(&mut self.router),
+            &restore_cost,
+            self.faults,
+        )
+        .run(arrivals, &mut self.autoscaler, false)?;
+        Ok(self.finish(pool, t_start, &baseline, &tally))
     }
 
     /// The sharded path: plan on the coordinator, fan container-local
@@ -512,41 +465,23 @@ impl Fleet {
         requests: usize,
         threads: usize,
     ) -> Result<FleetResult, StrategyError> {
-        let input_kb = pool.spec.input_kb;
         let t_start = Self::span_start(pool);
-        let offered_rps = self.cfg.offered_rps;
         let baseline = Self::baselines(pool);
         let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
 
-        // Phase 1 — plan: draw the arrival process (same RNG streams and
-        // per-stream draw order as the serial loop) and route every
-        // request with a *clone* of the router — round-robin routing
-        // reads only the slots' static retired flags, so pre-run
+        // Phase 1 — plan: draw the serial run's arrival source and route
+        // every request with a *clone* of the router — round-robin
+        // routing reads only the slots' static retired flags, so pre-run
         // decisions are exact. The real router advances during the
         // phase-3 replay, ending with the cursor the serial run leaves.
-        let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
-        let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
         let mut planner = self.router.clone();
-        let mut plan: Vec<par::Arrival> = Vec::with_capacity(requests);
-        let mut next_arrival = t_start;
-        for i in 0..requests {
-            next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-            let principal = if self.cfg.principals <= 1 {
-                "client".to_string()
-            } else {
-                format!(
-                    "user-{}",
-                    principal_rng.next_below(self.cfg.principals as u64)
-                )
-            };
-            let slot = planner.route(next_arrival, &principal, restore_cost, &pool.slots);
-            plan.push(par::Arrival {
-                at: next_arrival,
-                id: i as u64 + 1,
-                principal,
-                slot,
-            });
-        }
+        let plan: Vec<par::Arrival> = self
+            .arrivals(pool, t_start, requests)
+            .map(|o| par::Arrival {
+                slot: planner.route(o.req.arrival, &o.req.principal, restore_cost, &pool.slots),
+                req: o.req,
+            })
+            .collect();
 
         // Pre-shard readiness, so the phase-3 mirrors start from the
         // same per-slot state the serial loop would see.
@@ -565,7 +500,7 @@ impl Fleet {
                 .zip(outs.chunks_mut(chunk))
                 .enumerate()
                 .map(|(si, (slots, outs))| {
-                    scope.spawn(move || par::drive_shard(slots, si * chunk, plan, input_kb, outs))
+                    scope.spawn(move || par::drive_shard(slots, si * chunk, plan, outs))
                 })
                 .collect();
             handles
@@ -583,28 +518,6 @@ impl Fleet {
             ready_at: Nanos,
             next: usize,
         }
-        #[allow(clippy::too_many_arguments)]
-        fn mirror_dispatch(
-            m: &mut Mirror,
-            idx: usize,
-            now: Nanos,
-            outs: &[Vec<Dispatched>],
-            events: &mut EventQueue<Event>,
-            sojourns: &mut QuantileSketch,
-            completed: &mut usize,
-            queued_total: &mut usize,
-        ) {
-            if m.ready_at <= now && m.qlen > 0 {
-                let d = outs[idx][m.next];
-                m.next += 1;
-                m.qlen -= 1;
-                *queued_total -= 1;
-                sojourns.record_nanos(d.sojourn);
-                *completed += 1;
-                events.schedule(d.ready_at, Event::Ready(idx));
-                m.ready_at = d.ready_at;
-            }
-        }
         let mut mirrors: Vec<Mirror> = ready0
             .into_iter()
             .map(|r| Mirror {
@@ -614,61 +527,53 @@ impl Fleet {
             })
             .collect();
         let mut events: EventQueue<Event> = EventQueue::new();
-        let mut depth = DepthTracker::new();
-        let mut sojourns = QuantileSketch::new();
-        let mut completed = 0usize;
+        let mut tally = Tally::default();
         let mut queued_total = 0usize;
         let mut next_plan = 0usize;
-        let mut generated = 1usize;
-        events.schedule(plan[0].at, Event::Arrival);
+        events.schedule(plan[0].req.arrival, Event::Arrival);
 
         while let Some((now, ev)) = events.pop() {
-            match ev {
+            let idx = match ev {
                 Event::Arrival => {
                     let a = &plan[next_plan];
                     next_plan += 1;
                     let idx = self
                         .router
-                        .route(now, &a.principal, restore_cost, &pool.slots);
+                        .route(now, &a.req.principal, restore_cost, &pool.slots);
                     debug_assert_eq!(idx, a.slot, "replay route diverged from plan");
                     mirrors[idx].qlen += 1;
                     queued_total += 1;
-                    depth.record(queued_total);
-                    if generated < requests {
-                        events.schedule(plan[generated].at, Event::Arrival);
-                        generated += 1;
+                    tally.depth.record(queued_total);
+                    if let Some(next) = plan.get(next_plan) {
+                        events.schedule(next.req.arrival, Event::Arrival);
                     }
-                    mirror_dispatch(
-                        &mut mirrors[idx],
-                        idx,
-                        now,
-                        &outs,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut queued_total,
-                    );
+                    idx
                 }
-                Event::Ready(idx) => {
-                    mirror_dispatch(
-                        &mut mirrors[idx],
-                        idx,
-                        now,
-                        &outs,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut queued_total,
-                    );
-                    depth.record(queued_total);
-                }
-                Event::Retry(_) => unreachable!("parallel runs are fault-free by eligibility"),
+                Event::Ready((_, idx)) => idx as usize,
+                _ => unreachable!("parallel runs are fault-free and unscaled by eligibility"),
+            };
+            let m = &mut mirrors[idx];
+            if m.ready_at <= now && m.qlen > 0 {
+                let d = outs[idx][m.next];
+                m.next += 1;
+                m.qlen -= 1;
+                queued_total -= 1;
+                tally.sojourns.record_nanos(d.sojourn);
+                tally.completed += 1;
+                events.schedule(d.ready_at, Event::Ready((0, idx as u32)));
+                m.ready_at = d.ready_at;
             }
-            if completed == requests && queued_total == 0 {
+            if let Event::Ready(_) = ev {
+                tally.depth.record(queued_total);
+            }
+            if tally.completed == requests as u64 && queued_total == 0 {
                 break;
             }
         }
-        assert_eq!(completed, requests, "all arrivals must be served");
+        assert_eq!(
+            tally.completed, requests as u64,
+            "all arrivals must be served"
+        );
         assert_eq!(queued_total, 0, "admission queues must drain");
         assert!(
             mirrors
@@ -678,7 +583,7 @@ impl Fleet {
             "every recorded dispatch must be consumed by the replay"
         );
 
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
+        Ok(self.finish(pool, t_start, &baseline, &tally))
     }
 
     /// Shared result assembly: settles trailing restores and folds the
@@ -690,10 +595,10 @@ impl Fleet {
         pool: &mut Pool,
         t_start: Nanos,
         baseline: &[Baseline],
-        depth: &DepthTracker,
-        sojourns: &QuantileSketch,
-        completed: usize,
+        tally: &Tally,
     ) -> FleetResult {
+        let (sojourns, depth) = (&tally.sojourns, &tally.depth);
+        let completed = tally.completed as usize;
         for s in &mut pool.slots {
             s.settle();
         }
@@ -705,6 +610,7 @@ impl Fleet {
             .unwrap_or(t_start);
         let span = span_end - t_start;
 
+        let (mut restore_total, mut restore_hidden) = (Nanos::ZERO, Nanos::ZERO);
         let per_container: Vec<ContainerLoad> = pool
             .slots
             .iter()
@@ -713,6 +619,10 @@ impl Fleet {
                 let (base_busy, base_total, base_hidden, base_served, base_lazy, base_drained) =
                     baseline.get(i).copied().unwrap_or_default();
                 let busy = s.busy - base_busy;
+                let (restore, hidden) =
+                    (s.restore_total - base_total, s.restore_hidden - base_hidden);
+                restore_total += restore;
+                restore_hidden += hidden;
                 let active_start = s.spawned_at.max(t_start);
                 let active_span = span_end.saturating_sub(active_start);
                 ContainerLoad {
@@ -722,26 +632,14 @@ impl Fleet {
                     } else {
                         (busy.as_secs_f64() / active_span.as_secs_f64()).min(1.0)
                     },
-                    restore_ms: (s.restore_total - base_total).as_millis_f64(),
-                    restore_hidden_ms: (s.restore_hidden - base_hidden).as_millis_f64(),
+                    restore_ms: restore.as_millis_f64(),
+                    restore_hidden_ms: hidden.as_millis_f64(),
                     lazy_faults: s.lazy_faults - base_lazy,
                     lazy_drained_pages: drained(s) - base_drained,
                     retired: s.retired,
                 }
             })
             .collect();
-        let restore_total: Nanos = pool
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.restore_total - baseline.get(i).map(|b| b.1).unwrap_or_default())
-            .sum();
-        let restore_hidden: Nanos = pool
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.restore_hidden - baseline.get(i).map(|b| b.2).unwrap_or_default())
-            .sum();
         let restore_overlap_ratio = if restore_total.is_zero() {
             1.0
         } else {
@@ -787,35 +685,9 @@ impl Fleet {
                 snapshot_resident_bytes: memory.resident_bytes,
                 snapshot_bytes_per_container: memory.resident_bytes_per_container,
                 stats_bytes: 2 * QuantileSketch::memory_bytes() as u64,
-                faults: self.gate.stats,
+                faults: tally.faults,
             },
         }
-    }
-
-    /// One autoscaler observation; applies at most one action.
-    fn autoscale(
-        &mut self,
-        now: Nanos,
-        pool: &mut Pool,
-        events: &mut EventQueue<Event>,
-    ) -> Result<(), StrategyError> {
-        let Some(scaler) = self.autoscaler.as_mut() else {
-            return Ok(());
-        };
-        match scaler.observe(now, pool) {
-            Some(ScaleAction::Grow) => {
-                let (idx, ready) = pool.grow(now)?;
-                // The new container announces readiness once initialized.
-                events.schedule(ready, Event::Ready(idx));
-                scaler.applied(now, ScaleAction::Grow);
-            }
-            Some(ScaleAction::Retire(idx)) => {
-                pool.retire(idx);
-                scaler.applied(now, ScaleAction::Retire(idx));
-            }
-            None => {}
-        }
-        Ok(())
     }
 }
 

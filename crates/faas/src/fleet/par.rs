@@ -30,7 +30,6 @@
 
 use gh_isolation::StrategyError;
 use gh_sim::event::EventQueue;
-use gh_sim::Nanos;
 
 use super::pool::{Dispatched, Slot};
 use super::queue::Pending;
@@ -55,37 +54,51 @@ pub enum ExecMode {
     },
 }
 
-/// True when the caller asked for the serial fallback (`--serial` on
-/// the command line, or `GH_SERIAL=1` in the environment) — the same
-/// convention as `gh_bench::harness::serial_requested`.
-pub(crate) fn serial_requested() -> bool {
+impl ExecMode {
+    /// Worker threads this mode resolves to: 1 for [`ExecMode::Serial`],
+    /// `threads` for [`ExecMode::Parallel`], and for [`ExecMode::Auto`]
+    /// 1 when `--serial` or `GH_SERIAL=1` asks for it, else `GH_THREADS`
+    /// when set, else the host's available parallelism.
+    ///
+    /// # Panics
+    ///
+    /// Under [`ExecMode::Auto`], when `GH_THREADS` is set to anything
+    /// but a positive integer.
+    pub fn threads(self) -> usize {
+        match self {
+            ExecMode::Serial => 1,
+            ExecMode::Parallel { threads } => threads,
+            ExecMode::Auto if serial_requested() => 1,
+            ExecMode::Auto => parse_threads(std::env::var("GH_THREADS").ok().as_deref())
+                .unwrap_or_else(|e| panic!("{e}")),
+        }
+    }
+}
+
+/// True when the caller asked for the serial fallback: `--serial` on the
+/// command line, or `GH_SERIAL` set to anything but `0`.
+fn serial_requested() -> bool {
     std::env::args().any(|a| a == "--serial") || std::env::var("GH_SERIAL").is_ok_and(|v| v != "0")
 }
 
-/// Worker count for [`ExecMode::Auto`]: `GH_THREADS=n` when set, else
-/// the host's available parallelism.
-pub(crate) fn configured_threads() -> usize {
-    match std::env::var("GH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+/// Resolves a `GH_THREADS` value: unset is the host's available
+/// parallelism; a set value must be a positive integer.
+fn parse_threads(var: Option<&str>) -> Result<usize, String> {
+    let Some(v) = var else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("GH_THREADS must be a positive integer, got {v:?}")),
     }
 }
 
 /// One precomputed arrival: the coordinator's phase-1 routing decision.
 pub(crate) struct Arrival {
-    /// Virtual arrival time at the router.
-    pub at: Nanos,
-    /// Request id (the serial loop's `next_id` sequence).
-    pub id: u64,
-    /// Issuing principal.
-    pub principal: String,
     /// Slot the (cloned) router assigned.
     pub slot: usize,
+    /// The request, as the serial run's arrival source drew it.
+    pub req: Pending,
 }
 
 /// Shard-local events: indices into the global plan / the shard slice.
@@ -107,7 +120,6 @@ pub(crate) fn drive_shard(
     slots: &mut [Slot],
     base: usize,
     plan: &[Arrival],
-    input_kb: u64,
     outs: &mut [Vec<Dispatched>],
 ) -> Result<(), StrategyError> {
     let mut events: EventQueue<ShardEv> = EventQueue::new();
@@ -115,23 +127,14 @@ pub(crate) fn drive_shard(
     // equal-time arrivals keep their global tie order within the shard.
     for (pi, a) in plan.iter().enumerate() {
         if a.slot >= base && a.slot < base + slots.len() {
-            events.schedule(a.at, ShardEv::Arrival(pi));
+            events.schedule(a.req.arrival, ShardEv::Arrival(pi));
         }
     }
     while let Some((now, ev)) = events.pop() {
         let local = match ev {
             ShardEv::Arrival(pi) => {
-                let a = &plan[pi];
-                let local = a.slot - base;
-                slots[local].queue.push(Pending {
-                    id: a.id,
-                    principal: a.principal.clone(),
-                    input_kb,
-                    arrival: a.at,
-                    payload_hash: 0,
-                    idempotent: false,
-                    attempt: 1,
-                });
+                let local = plan[pi].slot - base;
+                slots[local].queue.push(plan[pi].req.clone());
                 local
             }
             ShardEv::Ready(local) => local,
@@ -142,4 +145,25 @@ pub(crate) fn drive_shard(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_counts_parse_or_fail_loudly() {
+        assert_eq!(parse_threads(Some("3")), Ok(3));
+        assert!(parse_threads(None).is_ok_and(|n| n >= 1));
+        for bad in ["0", "", " 8", "two", "-1", "2.5"] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains("GH_THREADS"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn explicit_modes_ignore_the_environment() {
+        assert_eq!(ExecMode::Serial.threads(), 1);
+        assert_eq!(ExecMode::Parallel { threads: 5 }.threads(), 5);
+    }
 }

@@ -1,11 +1,10 @@
 //! The failure half of a container's request lifecycle, written once.
 //!
-//! Every container-pool loop — the serial fleet ([`super::Fleet`]), the
-//! gateway-fronted fleet ([`crate::gateway`]) and each cluster node
-//! ([`crate::cluster`]) — dispatches through a [`FaultGate`], which owns
-//! the run's optional [`FaultPlan`], its [`FaultStats`] and the park
-//! table of killed requests waiting out their backoff. With no plan
-//! armed the gate is exactly [`Slot::dispatch`] plus the `Ready`
+//! The node loop ([`super::node`]) — and with it the serial fleet, the
+//! gateway and every cluster node — dispatches through a [`FaultGate`],
+//! which owns the run's optional [`FaultPlan`], its [`FaultStats`] and
+//! the park table of killed requests waiting out their backoff. With no
+//! plan armed the gate is exactly [`Slot::dispatch`] plus the `Ready`
 //! schedule: no draws and no extra events, so fault-free runs stay
 //! byte-identical to a loop that never heard of faults.
 
@@ -13,7 +12,8 @@ use gh_isolation::StrategyError;
 use gh_sim::event::EventQueue;
 use gh_sim::Nanos;
 
-use super::{Dispatched, Pending, Router, Slot};
+use super::node::{Event, Home};
+use super::{Dispatched, Pending, Pool, Router, Slot};
 use crate::fault::{FaultPlan, FaultStats};
 
 /// Park table for killed requests awaiting their backoff. Freed tokens
@@ -63,16 +63,6 @@ impl<T> ParkSlab<T> {
     }
 }
 
-/// The two events a pool loop lets the gate schedule. `H` names a slot
-/// in the loop's own terms (a slot index, or a (pool, slot) pair).
-pub(crate) trait GateEvent<H> {
-    /// The slot at `home` is provably clean again (restore or crash
-    /// recovery done).
-    fn ready(home: H) -> Self;
-    /// The parked retry behind `token` finished its backoff.
-    fn retry(token: u32) -> Self;
-}
-
 /// What one [`FaultGate::dispatch`] attempt did.
 pub(crate) enum Attempt {
     /// The slot was busy or had nothing queued.
@@ -84,31 +74,26 @@ pub(crate) enum Attempt {
     Died,
 }
 
-/// Fault plan, accounting and retry park table of one pool loop.
-pub(crate) struct FaultGate<H> {
+/// Fault plan, accounting and retry park table of one node.
+pub(crate) struct FaultGate {
     /// Present only when injection is active: `None` keeps every run on
     /// the exact fault-free path (no extra events, no extra draws).
     plan: Option<FaultPlan>,
     /// Accounting for the current run.
     pub(crate) stats: FaultStats,
     /// Killed requests waiting out their backoff, with the slot they
-    /// died on; `GateEvent::retry` tokens index it.
-    parked: ParkSlab<(Pending, H)>,
+    /// died on; `Event::Retry` tokens index it.
+    parked: ParkSlab<(Pending, Home)>,
 }
 
-impl<H: Copy> FaultGate<H> {
+impl FaultGate {
     /// A gate for `plan` (`None`: fault-free).
-    pub(crate) fn new(plan: Option<FaultPlan>) -> FaultGate<H> {
+    pub(crate) fn new(plan: Option<FaultPlan>) -> FaultGate {
         FaultGate {
             plan,
             stats: FaultStats::default(),
             parked: ParkSlab::new(),
         }
-    }
-
-    /// Whether a fault plan is armed.
-    pub(crate) fn armed(&self) -> bool {
-        self.plan.is_some()
     }
 
     /// Retries currently waiting out their backoff.
@@ -130,12 +115,12 @@ impl<H: Copy> FaultGate<H> {
     ///   ([`Slot::fail_restore`]) and the returned `ready_at` says so.
     ///
     /// A retry is always scheduled before the slot's `Ready`.
-    pub(crate) fn dispatch<E: GateEvent<H>>(
+    pub(crate) fn dispatch(
         &mut self,
         slot: &mut Slot,
-        home: H,
+        home: Home,
         now: Nanos,
-        events: &mut EventQueue<E>,
+        events: &mut EventQueue<Event>,
     ) -> Result<Attempt, StrategyError> {
         let head = self
             .plan
@@ -162,11 +147,11 @@ impl<H: Copy> FaultGate<H> {
                         backoff_at.max(ready)
                     };
                     let token = self.parked.park((pending, home));
-                    events.schedule(retry_at, E::retry(token));
+                    events.schedule(retry_at, Event::Retry(token));
                 } else {
                     self.stats.abandoned += 1;
                 }
-                events.schedule(ready, E::ready(home));
+                events.schedule(ready, Event::Ready(home));
                 return Ok(Attempt::Died);
             }
         }
@@ -179,33 +164,32 @@ impl<H: Copy> FaultGate<H> {
                 d.ready_at = slot.fail_restore();
             }
         }
-        events.schedule(d.ready_at, E::ready(home));
+        events.schedule(d.ready_at, Event::Ready(home));
         Ok(Attempt::Served(d))
     }
 
-    /// Unparks the retry behind `token`: the request (attempt already
-    /// bumped) and the slot it died on.
-    pub(crate) fn unpark(&mut self, token: u32) -> (Pending, H) {
-        self.parked.take(token)
-    }
-
-    /// The slot of `slots` a retry of `p` re-enters, having died on
-    /// `died_on`: under a rerouting policy the router's choice avoiding
-    /// that slot, otherwise the slot itself.
-    pub(crate) fn retry_slot(
-        &self,
-        router: &mut Router,
+    /// Unparks the retry behind `token` (attempt already bumped) and
+    /// picks the slot it re-enters, in the pool it died in: under a
+    /// rerouting policy the router's choice avoiding the slot it died
+    /// on, otherwise that slot itself.
+    pub(crate) fn unpark(
+        &mut self,
+        token: u32,
         now: Nanos,
-        p: &Pending,
-        restore_cost: Nanos,
-        slots: &[Slot],
-        died_on: usize,
-    ) -> usize {
-        if self.plan.is_some_and(|pl| pl.config().retry.reroute) {
-            router.route_avoiding(now, &p.principal, restore_cost, slots, Some(died_on))
+        routers: &mut [Router],
+        restore_cost: &[Nanos],
+        pools: &[Pool],
+    ) -> (Pending, Home) {
+        let (p, (pi, died_on)) = self.parked.take(token);
+        let pool = pi as usize;
+        let si = if self.plan.is_some_and(|pl| pl.config().retry.reroute) {
+            let slots = &pools[pool].slots;
+            let avoid = Some(died_on as usize);
+            routers[pool].route_avoiding(now, &p.principal, restore_cost[pool], slots, avoid) as u32
         } else {
             died_on
-        }
+        };
+        (p, (pi, si))
     }
 }
 

@@ -147,9 +147,8 @@ impl Platform {
         offered_rps: f64,
         requests: usize,
     ) -> Result<FleetResult, StrategyError> {
-        let seed = self.rng.next_u64();
-        let cfg = FleetConfig::fixed(policy, offered_rps, seed);
-        Fleet::new(cfg).run(&mut self.pools[id.0], requests)
+        let faults = crate::fault::FaultConfig::none(0);
+        self.run_fleet_faulty(id, policy, offered_rps, requests, faults)
     }
 
     /// [`Platform::run_fleet`] with fault injection armed: container

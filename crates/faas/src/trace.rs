@@ -177,35 +177,38 @@ impl TraceGen {
         }
     }
 
-    /// Instantaneous arrival rate at virtual time `t`.
-    fn rate_at(&self, t: Nanos) -> f64 {
-        let phase = (t.saturating_sub(self.cfg.origin)).as_secs_f64()
-            / self.cfg.diurnal_period.as_secs_f64();
-        self.cfg.base_rps
-            * (1.0 + self.cfg.diurnal_amplitude * (2.0 * std::f64::consts::PI * phase).sin())
-    }
-
-    /// One exponential gap at `rps`.
-    fn exp_gap(rps: f64, rng: &mut DetRng) -> Nanos {
-        let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-        Nanos::from_millis_f64(-u.ln() / rps * 1e3)
-    }
-
     /// Zipf rank draw: binary search of the precomputed CDF.
     fn draw_rank(&mut self) -> u32 {
         let u = self.fn_rng.next_f64();
         self.cdf.partition_point(|&c| c < u) as u32
     }
+}
 
-    /// Advances `now` past the next accepted (thinned) diurnal arrival.
-    fn advance_diurnal(&mut self) {
-        let rate_max = self.cfg.base_rps * (1.0 + self.cfg.diurnal_amplitude);
-        loop {
-            self.now += Self::exp_gap(rate_max, &mut self.gap_rng);
-            let accept = self.rate_at(self.now) / rate_max;
-            if self.thin_rng.next_f64() < accept {
-                return;
-            }
+/// One exponential inter-arrival gap of a Poisson process at `rps`.
+pub(crate) fn exp_gap(rps: f64, rng: &mut DetRng) -> Nanos {
+    let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
+    Nanos::from_millis_f64(-u.ln() / rps * 1e3)
+}
+
+/// Advances `now` past the next arrival of a Poisson process whose
+/// rate swings between `(1 ± amplitude) × base_rps` over `period`,
+/// phase-anchored at `origin`: candidates come at the peak rate (gap
+/// stream) and each is accepted with probability rate/peak (thin
+/// stream).
+pub(crate) fn advance_diurnal(
+    now: &mut Nanos,
+    (base_rps, amplitude): (f64, f64),
+    (origin, period): (Nanos, Nanos),
+    gaps: &mut DetRng,
+    thin: &mut DetRng,
+) {
+    let rate_max = base_rps * (1.0 + amplitude);
+    loop {
+        *now += exp_gap(rate_max, gaps);
+        let phase = now.saturating_sub(origin).as_secs_f64() / period.as_secs_f64();
+        let rate = base_rps * (1.0 + amplitude * (2.0 * std::f64::consts::PI * phase).sin());
+        if thin.next_f64() < rate / rate_max {
+            return;
         }
     }
 }
@@ -220,7 +223,7 @@ impl Iterator for TraceGen {
         let (fn_id, principal) = if let Some(b) = self.burst.as_mut() {
             // Burst mode: back-to-back requests at the boosted rate,
             // same function and principal for the whole run.
-            self.now += Self::exp_gap(
+            self.now += exp_gap(
                 self.cfg.base_rps * self.cfg.burst_rps_factor,
                 &mut self.gap_rng,
             );
@@ -231,7 +234,13 @@ impl Iterator for TraceGen {
             }
             ev
         } else {
-            self.advance_diurnal();
+            advance_diurnal(
+                &mut self.now,
+                (self.cfg.base_rps, self.cfg.diurnal_amplitude),
+                (self.cfg.origin, self.cfg.diurnal_period),
+                &mut self.gap_rng,
+                &mut self.thin_rng,
+            );
             let fn_id = self.draw_rank();
             let principal = self.principal_rng.next_below(self.cfg.principals as u64) as u32;
             if self.burst_rng.next_f64() < self.cfg.burst_start_prob {
@@ -410,8 +419,7 @@ pub fn dag_workload(workflows: u64, arrival_rps: f64, seed: u64) -> Vec<DagArriv
     let mut now = Nanos::ZERO;
     (0..workflows)
         .map(|workflow| {
-            let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-            now += Nanos::from_millis_f64(-u.ln() / arrival_rps * 1e3);
+            now += exp_gap(arrival_rps, &mut rng);
             DagArrival {
                 workflow,
                 at: now,

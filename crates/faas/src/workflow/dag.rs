@@ -477,6 +477,12 @@ pub fn run_dag_workflows(
             outputs.push(None);
         }
     }
+    // A dead workflow abandons exactly once: its later hops never run.
+    assert_eq!(
+        completed + st.faults.abandoned,
+        cfg.workflows,
+        "every workflow completes or is abandoned"
+    );
     Ok(DagResult {
         workflows: cfg.workflows,
         completed,

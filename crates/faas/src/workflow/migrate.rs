@@ -315,6 +315,48 @@ impl Sim<'_> {
         );
     }
 
+    /// A hop attempt faulted: its node went down (`node_lost`) or its
+    /// container died. Counts the fault; when the crash raced the
+    /// attempt's commit, applies the commit (durable, but the response
+    /// is gone); then retries the hop — migrating it off a lost node —
+    /// or, with attempts exhausted, abandons the workflow. Returns
+    /// whether the workflow is still alive.
+    fn fault(
+        &mut self,
+        wf: &Wf,
+        mut hop: Hop,
+        (path, value): (u64, u64),
+        at: Nanos,
+        node_lost: bool,
+    ) -> bool {
+        let pl = self.plan.expect("a fault implies a plan");
+        if node_lost {
+            self.faults.orphaned_hops += 1;
+            self.faults.node_losses += 1;
+        } else {
+            self.faults.deaths += 1;
+        }
+        if !hop.pre_committed && pl.death_after_commit(Sim::fault_id(hop.w, path), hop.attempt) {
+            self.commit(hop.w, path, value, false, at);
+            hop.pre_committed = true;
+            if node_lost {
+                // A re-commit from the migrated retry is absorbed by
+                // the migration ledger.
+                hop.orphan_commit = true;
+            } else {
+                self.faults.duplicates += 1;
+            }
+        }
+        if hop.attempt < pl.max_attempts() {
+            self.faults.retries += 1;
+            self.redispatch(wf, hop, at, node_lost);
+            true
+        } else {
+            self.faults.abandoned += 1;
+            false
+        }
+    }
+
     /// Applies a hop's idempotent commit, attributing a suppressed
     /// re-commit to the migration ledger when the first commit landed
     /// on a lost node.
@@ -403,43 +445,12 @@ pub fn run_migrating_dags(catalog: &[FunctionSpec], cfg: &MigrateConfig) -> Migr
                 if let Some(pl) = sim.plan {
                     // Node loss first: the whole node (and the hop's
                     // response) is gone, regardless of container fate.
-                    if pl.node_down(hop.exec as usize, now) {
-                        sim.faults.orphaned_hops += 1;
-                        sim.faults.node_losses += 1;
-                        let mut hop = hop;
-                        if !hop.pre_committed && pl.death_after_commit(fid, hop.attempt) {
-                            // The commit raced the outage: durable,
-                            // but the response died with the node.
-                            sim.commit(w, path, value, false, now);
-                            hop.pre_committed = true;
-                            hop.orphan_commit = true;
-                        }
-                        if hop.attempt < pl.max_attempts() {
-                            sim.faults.retries += 1;
-                            sim.redispatch(&wfs[w], hop, now, true);
-                        } else {
-                            sim.faults.abandoned += 1;
-                            wfs[w].alive = false;
-                        }
-                        continue;
-                    }
-                    // Container death on an up node: in-place (or
-                    // rerouted) retry, as in the single-node runners.
-                    if pl.death(fid, hop.attempt).is_some() {
-                        sim.faults.deaths += 1;
-                        let mut hop = hop;
-                        if !hop.pre_committed && pl.death_after_commit(fid, hop.attempt) {
-                            sim.commit(w, path, value, false, now);
-                            hop.pre_committed = true;
-                            sim.faults.duplicates += 1;
-                        }
-                        if hop.attempt < pl.max_attempts() {
-                            sim.faults.retries += 1;
-                            sim.redispatch(&wfs[w], hop, now, false);
-                        } else {
-                            sim.faults.abandoned += 1;
-                            wfs[w].alive = false;
-                        }
+                    // Otherwise a container death on an up node: an
+                    // in-place (or rerouted) retry, as in the
+                    // single-node runners.
+                    let node_lost = pl.node_down(hop.exec as usize, now);
+                    if node_lost || pl.death(fid, hop.attempt).is_some() {
+                        wfs[w].alive = sim.fault(&wfs[w], hop, (path, value), now, node_lost);
                         continue;
                     }
                 }
@@ -471,6 +482,23 @@ pub fn run_migrating_dags(catalog: &[FunctionSpec], cfg: &MigrateConfig) -> Migr
                 }
             }
         }
+    }
+    // A dead workflow abandons exactly once: its in-flight branches are
+    // skipped once it is dead.
+    assert_eq!(
+        completed + sim.faults.abandoned,
+        cfg.workflows,
+        "every workflow completes or is abandoned"
+    );
+    // Every crash-raced commit is re-committed and suppressed exactly
+    // once by the retry that finally succeeds — which every hop does
+    // when no workflow is abandoned.
+    if sim.faults.abandoned == 0 {
+        assert_eq!(
+            sim.kv.duplicates_suppressed,
+            sim.faults.duplicates + sim.faults.duplicate_commits_absorbed,
+            "the migration ledger balances"
+        );
     }
     MigrateResult {
         workflows: cfg.workflows,

@@ -134,3 +134,98 @@ fn empty_run_is_mode_independent() {
     assert!(serial.mean_ms == 0.0 || serial.mean_ms.is_nan() == par.mean_ms.is_nan());
     assert_identical("requests=0", &serial, &par);
 }
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Cross-commit pins: the FNV-1a of the `{:?}` rendering of the
+/// fault-free fleet and gateway paths — a serial fleet under every
+/// routing policy, an autoscaled fleet that grows and retires, a sharded
+/// round-robin fleet, and a gateway run with every policy and workload
+/// knob on. The serial == parallel and passthrough oracles compare two
+/// runs of the *same* code; these constants were recorded before the
+/// fleet, gateway and cluster loops were folded into one node loop, so
+/// they catch any refactor that changes a single output byte.
+#[test]
+fn results_match_pinned_digests() {
+    use gh_faas::fleet::AutoscaleConfig;
+    use gh_faas::gateway::{run_gateway_fleet, GatewayFleetConfig};
+    use gh_gateway::admission::AdmissionConfig;
+    use gh_gateway::cache::CacheConfig;
+    use gh_gateway::prewarm::PrewarmConfig;
+    use gh_gateway::GatewayConfig;
+    use gh_sim::Nanos;
+
+    let mut got = Vec::new();
+    for policy in RoutePolicy::ALL {
+        let cfg = FleetConfig::fixed(policy, 260.0, 31).with_principals(4);
+        let r = run(3, &cfg, 240, ExecMode::Serial);
+        assert_eq!(r.completed, 240);
+        got.push(fnv1a(&format!("{r:?}")));
+    }
+
+    let cfg = FleetConfig {
+        autoscale: Some(AutoscaleConfig {
+            min_size: 1,
+            max_size: 4,
+            scale_up_depth: 1.0,
+            idle_retire: Nanos::from_millis(150),
+            cooldown: Nanos::from_millis(50),
+        }),
+        ..FleetConfig::fixed(RoutePolicy::RestoreAware, 160.0, 37).with_principals(4)
+    };
+    let scaled = run(2, &cfg, 400, ExecMode::Serial);
+    assert!(scaled.stats.spawned > 0, "the autoscaler must grow");
+    assert!(scaled.stats.retired > 0, "the autoscaler must retire");
+    got.push(fnv1a(&format!("{scaled:?}")));
+
+    let cfg = FleetConfig::fixed(RoutePolicy::RoundRobin, 300.0, 41).with_principals(4);
+    let sharded = run(3, &cfg, 300, ExecMode::Parallel { threads: 2 });
+    assert_eq!(sharded.completed, 300);
+    got.push(fnv1a(&format!("{sharded:?}")));
+
+    let spec = by_name("fannkuch (p)").unwrap();
+    let gateway = GatewayConfig::builder()
+        .cache(CacheConfig::default_for_ttl(Nanos::from_secs(20)))
+        .admission(AdmissionConfig {
+            rate_per_sec: 1_000.0,
+            burst: 100,
+            max_in_flight: Some(3),
+        })
+        .prewarm(PrewarmConfig::flat(Nanos::from_millis(500), 5))
+        .build();
+    let cfg = GatewayFleetConfig {
+        idempotent_frac: 0.4,
+        payload_universe: 16,
+        hot_principal_frac: 0.3,
+        diurnal_amplitude: 0.5,
+        diurnal_period: Nanos::from_secs(2),
+        ..GatewayFleetConfig::passthrough(
+            FleetConfig::fixed(RoutePolicy::LeastLoaded, 240.0, 43).with_principals(4),
+        )
+    }
+    .with_gateway(gateway);
+    let gw =
+        run_gateway_fleet(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, cfg, 360).unwrap();
+    assert!(gw.gateway.cache_hits > 0, "the cache must hit");
+    assert!(gw.gateway.deferred > 0, "the ceiling must defer");
+    assert!(gw.gateway.prewarm_spawns > 0, "the pre-warmer must grow");
+    got.push(fnv1a(&format!("{gw:?}")));
+
+    let pinned: [u64; 6] = [
+        0x7583_1879_9a76_0bfe,
+        0xf680_cadc_57a7_11e4,
+        0x69f0_5b2e_9af0_e244,
+        0xf40d_b70e_5799_2a33,
+        0x6b22_1d5a_3ff3_14e2,
+        0x942f_60f0_5b8f_6e8b,
+    ];
+    assert_eq!(
+        got.iter().map(|h| format!("{h:#018x}")).collect::<Vec<_>>(),
+        pinned.map(|h| format!("{h:#018x}")),
+        "[round-robin, least-loaded, restore-aware, autoscaled, sharded, gateway]"
+    );
+}
